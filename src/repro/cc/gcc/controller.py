@@ -20,6 +20,7 @@ from repro.cc.gcc.detector import BandwidthUsage, OveruseDetector
 from repro.cc.gcc.estimator import OveruseEstimator
 from repro.cc.gcc.loss import LossBasedController
 from repro.cc.gcc.rate_control import AimdRateControl
+from repro.obs import names
 from repro.rtp.twcc import TwccFeedback
 from repro.util.units import bytes_to_bits, to_ms
 
@@ -141,7 +142,7 @@ class GccController(CongestionController):
             self.overuse_events += 1
             if self.obs.enabled:
                 self.obs.event(
-                    "gcc.overuse",
+                    names.GCC_OVERUSE,
                     offset_ms=self._estimator.offset_ms,
                     threshold_ms=self._detector.threshold_ms,
                 )
@@ -160,7 +161,7 @@ class GccController(CongestionController):
             self.obs.observe("gcc/rtt_ms", to_ms(self.rtt_estimate))
             if self._target_bitrate < previous_target:
                 self.obs.event(
-                    "gcc.rate_decrease",
+                    names.GCC_RATE_DECREASE,
                     from_bps=previous_target,
                     to_bps=self._target_bitrate,
                     # Which estimator bound the new target: the

@@ -22,6 +22,7 @@ from collections import deque
 from repro.cc.base import CongestionController, FeedbackKind, SentPacket
 from repro.cc.scream.rate import ScreamRateController
 from repro.cc.scream.window import ScreamWindow
+from repro.obs import names
 from repro.rtp.ccfb import CcfbReport
 from repro.rtp.packets import seq_distance
 from repro.util.units import bytes_to_bits, to_ms
@@ -145,12 +146,12 @@ class ScreamController(CongestionController):
             self.false_loss_candidates += 1
             loss_detected = True
         if stale and self.obs.enabled:
-            self.obs.event("scream.false_loss", packets=len(stale))
+            self.obs.event(names.SCREAM_FALSE_LOSS, packets=len(stale))
             self.obs.count("scream/false_loss_candidates", len(stale))
         if loss_detected:
             self.detected_losses += 1
             if self.obs.enabled:
-                self.obs.event("scream.loss", cwnd=float(self.window.cwnd))
+                self.obs.event(names.SCREAM_LOSS, cwnd=float(self.window.cwnd))
                 self.obs.count("scream/loss_events")
             # Media-rate back-off at most once per RTT, mirroring the
             # cwnd loss-event gating — individual reports often flag
@@ -186,7 +187,7 @@ class ScreamController(CongestionController):
                 self.obs.observe("scream/qdelay_ms", to_ms(self.window.qdelay))
                 if self._target_bitrate < previous_target:
                     self.obs.event(
-                        "scream.rate_decrease",
+                        names.SCREAM_RATE_DECREASE,
                         from_bps=previous_target,
                         to_bps=self._target_bitrate,
                         reason="loss" if loss_detected else "qdelay",

@@ -40,7 +40,7 @@ from repro.cellular.propagation import (
 from repro.flight.trajectory import Position, WaypointTrajectory
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, names
 from repro.obs.detect import EwmaZScore
 from repro.util.rng import RngStreams
 
@@ -331,7 +331,7 @@ class CellularChannel:
         #: capacity-dip episodes as trace spans for root-cause
         #: attribution (fed at the 10 Hz measurement rate).
         self.capacity_dip = EwmaZScore(
-            obs, "channel.capacity_dip", direction=-1.0, warmup=50,
+            obs, names.CHANNEL_CAPACITY_DIP, direction=-1.0, warmup=50,
             min_delta=3e6,
         )
 
@@ -659,7 +659,7 @@ class CellularChannel:
     def _close_congestion(self, end: float) -> None:
         if self.obs.enabled:
             self.obs.span_at(
-                "cell.congestion",
+                names.CELL_CONGESTION,
                 self._congestion_t0,
                 end,
                 cell=self.engine.serving_cell,
@@ -699,7 +699,7 @@ class CellularChannel:
             self._outlier_until = now + float(self._outlier_rng.uniform(low, high))
             if self.obs.enabled:
                 self.obs.span_at(
-                    "channel.interference_outlier",
+                    names.CHANNEL_INTERFERENCE_OUTLIER,
                     now,
                     self._outlier_until,
                     altitude=float(altitude),

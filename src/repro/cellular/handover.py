@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import NULL_RECORDER
+from repro.obs import NULL_RECORDER, names
 from repro.util.units import to_ms
 
 #: 3GPP success threshold for handover execution (TR 36.881).
@@ -309,7 +309,7 @@ class HandoverEngine:
                 self._a3_since = now
                 if self.obs.enabled:
                     self.obs.event(
-                        "handover.a3_enter",
+                        names.HANDOVER_A3_ENTER,
                         t=now,
                         serving=self.serving_cell,
                         candidate=best,
@@ -354,7 +354,7 @@ class HandoverEngine:
         self.events.append(event)
         if self.obs.enabled:
             self.obs.span_at(
-                "handover.execution",
+                names.HANDOVER_EXECUTION,
                 now,
                 now + het,
                 source=self.serving_cell,

@@ -10,6 +10,7 @@ matched defaults but stays overridable for ablations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -46,14 +47,19 @@ STATIC_BITRATE = {
 MIN_BITRATE = 2e6
 MAX_BITRATE = 25e6
 
+#: The ablation overrides ``ScenarioConfig.extra`` may carry (read by
+#: :func:`repro.core.session.build_session`).
+EXTRA_KEYS = frozenset({"a3", "het", "make_before_break", "ramp_up_speed"})
+
 
 @dataclass
 class ScenarioConfig:
     """Full description of one simulated measurement run.
 
     Attributes mirror the paper's setup; see DESIGN.md for the
-    mapping. ``extra`` carries ad-hoc overrides for ablation benches
-    (e.g. A3 parameters) without widening this signature.
+    mapping. ``extra`` carries ablation overrides (the keys in
+    :data:`EXTRA_KEYS`, e.g. A3 parameters) without widening this
+    signature; any other key is rejected.
     """
 
     environment: Environment = Environment.URBAN
@@ -86,8 +92,16 @@ class ScenarioConfig:
             self.platform = Platform(self.platform)
         if isinstance(self.cc, str):
             self.cc = CcAlgorithm(self.cc)
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"duration must be positive and finite: {self.duration}"
+            )
+        unknown = set(self.extra) - EXTRA_KEYS
+        if unknown:
+            raise ValueError(
+                f"unknown extra key(s) {sorted(unknown)}; expected a "
+                f"subset of {sorted(EXTRA_KEYS)}"
+            )
         if self.operator.upper() not in ("P1", "P2"):
             raise ValueError(f"operator must be P1 or P2, got {self.operator}")
         self.operator = self.operator.upper()

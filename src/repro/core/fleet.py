@@ -53,6 +53,7 @@ from repro.obs import (
     ObsLevel,
     Recorder,
     diagnose,
+    names,
     trace_to_dicts,
 )
 from repro.util.rng import RngStreams
@@ -144,18 +145,6 @@ class FleetResult:
     def max_sessions_per_cell(self) -> int:
         """Peak contention actually reached anywhere in the layout."""
         return max(self.peak_occupancy.values(), default=0)
-
-
-def _declare_fleet_obs_names(obs) -> None:
-    """RPL008 declaration twin for names written via the registry.
-
-    ``run_fleet`` emits these gauges at collect time — registry writes
-    on the trace tier, hand-built snapshot records on the plane tiers
-    (there is no live recorder there) — so the static trace-schema
-    scan cannot see them at the real write sites. Never called.
-    """
-    obs.gauge("fleet/occupancy", 0.0)
-    obs.gauge("fleet/peak_occupancy", 0.0)
 
 
 def _ring_offset(index: int, count: int, radius: float) -> tuple[float, float]:
@@ -284,7 +273,7 @@ def run_fleet(
             _obs = Recorder(measure_overhead=True)
             _obs.bind(loop)
             _obs.event(
-                "fleet.member_sample",
+                names.FLEET_MEMBER_SAMPLE,
                 t=0.0,
                 member=index,
                 seed=session_config.seed,

@@ -16,7 +16,7 @@ from repro.cc.base import CongestionController, FeedbackKind
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop, PeriodicTimer
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, names
 from repro.obs.detect import EwmaZScore, WindowedStats
 from repro.util.units import to_ms
 from repro.rtp.ccfb import CcfbRecorder
@@ -72,11 +72,11 @@ class VideoReceiver:
         #: streaming OWD-inflation detector (bufferbloat evidence for
         #: the attribution engine).
         self._window = WindowedStats(
-            obs, "receiver.window",
+            obs, names.RECEIVER_WINDOW,
             sums=("bytes", "packets"), maxes=("owd_max_ms",),
         )
         self._owd_anomaly = EwmaZScore(
-            obs, "receiver.owd_anomaly", min_delta=50.0,
+            obs, names.RECEIVER_OWD_ANOMALY, min_delta=50.0,
         )
         #: Next sim time at which the OWD anomaly detector samples.
         #: OWD inflation episodes last hundreds of milliseconds, so a

@@ -19,7 +19,7 @@ from repro.cc.base import CongestionController, SentPacket
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventHandle, EventLoop, PeriodicTimer
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, names
 from repro.obs.detect import EwmaZScore
 from repro.util.units import bytes_to_bits, to_ms
 from repro.rtp.packetizer import Packetizer
@@ -90,7 +90,7 @@ class VideoSender:
         #: Streaming detector for self-induced send-queue growth
         #: (queue-bloat evidence for the attribution engine).
         self._queue_anomaly = EwmaZScore(
-            obs, "sender.queue_anomaly", min_delta=50.0,
+            obs, names.SENDER_QUEUE_ANOMALY, min_delta=50.0,
         )
 
     # ------------------------------------------------------------------
@@ -217,7 +217,7 @@ class VideoSender:
             self.stats.packets_discarded += len(self._queue)
             if self.obs.enabled:
                 self.obs.event(
-                    "sender.queue_discard",
+                    names.SENDER_QUEUE_DISCARD,
                     t=now,
                     packets=len(self._queue),
                     queued_bytes=self._queued_bytes,

@@ -52,6 +52,7 @@ from repro.obs import (
     ObsLevel,
     Recorder,
     diagnose,
+    names,
 )
 from repro.util.rng import RngStreams
 from repro.video.encoder import EncoderModel
@@ -264,7 +265,7 @@ def build_session(
         # (target bitrate, source fps) resolve identically whether the
         # trace is consumed live or re-imported from JSONL.
         obs.event(
-            "session.config",
+            names.SESSION_CONFIG,
             t=0.0,
             label=config.label(),
             cc=config.cc.value,
@@ -453,7 +454,7 @@ def run_session(
                 # The self-metric also lands on the trace, so exported
                 # JSONL carries the run's recording cost with it.
                 obs.event(
-                    "obs.overhead",
+                    names.OBS_OVERHEAD,
                     t=config.duration,
                     recording_s=recording_s,
                     wall_s=wall_s,

@@ -218,17 +218,14 @@ def run_fleet_density(
     """Sweep fleet density and aggregate per-session QoE.
 
     One :data:`WORK_FLEET` unit per (density, seed) pair — fleets fan
-    out over worker processes exactly like seeded sessions do, and
-    repeat runs are served from the result cache. On a batching
-    runner (``CampaignRunner(batch=True)``) the planner additionally
-    groups each density's seed sweep into per-worker fleet batches
-    with per-unit cache fan-back, so an interrupted sweep resumes
-    from the fleets that completed; each fleet itself runs the
-    vectorized fast path (SoA contention + member-stacked tick
-    plans). ``obs="metrics"`` keeps that fast path *and* the batching
-    planner while adding the vectorized fleet metrics plane;
-    ``obs="trace"`` (or ``True``) runs every fleet under a shared
-    recorder (scalar-scheduled, batching excluded) and the
+    out over worker processes exactly like seeded sessions do, repeat
+    runs are served from the result cache, and an interrupted sweep
+    resumes from the fleets that completed. Fleet units never join a
+    seed-sweep batch: each fleet already runs the vectorized fast path
+    (SoA contention + member-stacked tick plans) across its members.
+    ``obs="metrics"`` keeps that fast path while adding the vectorized
+    fleet metrics plane; ``obs="trace"`` (or ``True``) runs every
+    fleet under a shared recorder (scalar-scheduled) and the
     per-density points additionally carry the fraction of latency
     violations the diagnosis layer pins on ``cell_congestion``.
     """

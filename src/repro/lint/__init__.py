@@ -23,13 +23,15 @@ graph over the full tree and runs cross-module dataflow rules
 
 * **unit dimensions** — a ``*_ms`` value must not flow into a
   ``*_s`` parameter two packages away (RPL007);
-* **trace-schema contracts** — every emitted trace/metric name is
-  registered in the generated :mod:`repro.obs.schema`, and every name
-  a consumer string-matches is actually emitted (RPL008);
 * **RNG stream discipline** — one component per derived stream, no
   import-time capture (RPL009);
 * **wall-clock taint** — ``time.time()`` values never reach sim-time
   sinks (RPL010).
+
+Trace record names need no rule: emitters and consumers share the
+constants of :mod:`repro.obs.names`, so a misspelt name fails at the
+site, and :class:`~repro.obs.recorder.Recorder` rejects any name
+outside :data:`repro.obs.names.TRACE_NAMES`.
 
 Run it as ``python -m repro.lint`` or via the ``repro lint`` CLI
 subcommand (``--format json|sarif``, ``--changed``, ``--baseline

@@ -1,11 +1,10 @@
-"""The cross-module dataflow rules (RPL007-RPL010).
+"""The cross-module dataflow rules (RPL007, RPL009, RPL010).
 
 These rules run over a :class:`~repro.lint.project.ProjectIndex`
 rather than one AST, so they can see both ends of a call: the unit
-suffix of a parameter defined in another package, the trace names a
-consumer string-matches, the RNG labels a callee derives from the
-factory it was handed, the wall-clock taint a helper's return value
-carries.
+suffix of a parameter defined in another package, the RNG labels a
+callee derives from the factory it was handed, the wall-clock taint a
+helper's return value carries.
 
 Rule catalogue
 --------------
@@ -19,15 +18,6 @@ RPL007 *unit-dimension inference*
     mixing units, a call return of one unit assigned to a slot
     suffixed with another, and a numeric-constant (dimensionless)
     return flowing into a unit-suffixed parameter.
-
-RPL008 *trace-schema contracts*
-    Every statically-known trace/metric name emitted through a
-    recorder must be registered in the generated
-    ``repro/obs/schema.py``; every name a consumer in ``repro.obs``
-    string-matches against ``record.name`` must be emitted somewhere;
-    registered names nothing emits are stale. A typo on either side of
-    the emit/consume contract (``span("cell.congested")``) therefore
-    fails the lint instead of silently zeroing an attribution share.
 
 RPL009 *RNG stream aliasing*
     One component per stream: the same ``RngStreams`` object must not
@@ -60,11 +50,6 @@ CROSS_RULE_INFO: dict[str, tuple[str, str]] = {
         "call/assignment/arithmetic flows must agree on inferred "
         "physical units (_s/_ms/_bps/_bytes suffixes, units helpers)",
     ),
-    "RPL008": (
-        "trace-schema contracts",
-        "emitted trace/metric names must be registered in "
-        "repro/obs/schema.py and matched consumer names must be emitted",
-    ),
     "RPL009": (
         "RNG stream aliasing",
         "one component per RngStreams label: no duplicate derives, no "
@@ -76,13 +61,6 @@ CROSS_RULE_INFO: dict[str, tuple[str, str]] = {
         "timestamps or metrics",
     ),
 }
-
-#: Module whose ``TRACE_NAMES``/``METRIC_NAMES`` sets are the schema.
-SCHEMA_MODULE = "repro.obs.schema"
-
-#: Modules whose ``.name`` string matches are trace-schema consumers.
-CONSUMER_PREFIX = "repro.obs"
-
 
 def CrossFinding(
     path: str, line: int, end_line: int, rule_id: str, message: str
@@ -199,117 +177,6 @@ def check_units(index: ProjectIndex) -> Iterator[CrossFinding]:
                     f"{_pretty(right)}; convert one side via "
                     "repro.util.units",
                 )
-
-
-# ----------------------------------------------------------------------
-# RPL008 — trace-schema contracts
-# ----------------------------------------------------------------------
-def _registry_sets(
-    index: ProjectIndex,
-) -> tuple[dict[str, set[str]], str | None, dict[str, int]]:
-    """Registered names by kind, schema path, registry line by kind."""
-    path = index.modules.get(SCHEMA_MODULE)
-    if path is None:
-        return {}, None, {}
-    registry = index.files[path].get("registry", {})
-    names = {
-        kind: set(entry["names"]) for kind, entry in registry.items()
-    }
-    lines = {kind: entry["line"] for kind, entry in registry.items()}
-    return names, path, lines
-
-
-def emitted_names(index: ProjectIndex) -> dict[str, set[str]]:
-    """Statically-known emitted names by kind (``trace``/``metric``)."""
-    emitted: dict[str, set[str]] = {"trace": set(), "metric": set()}
-    for facts in index.files.values():
-        for emit in facts["emits"]:
-            if not emit["dynamic"] and emit["name"]:
-                emitted[emit["kind"]].add(emit["name"])
-    return emitted
-
-
-def check_trace_schema(index: ProjectIndex) -> Iterator[CrossFinding]:
-    """Yield every trace-schema contract violation."""
-    registered, schema_path, registry_lines = _registry_sets(index)
-    emitted = emitted_names(index)
-    all_emitted = emitted["trace"] | emitted["metric"]
-    have_registry = bool(registered)
-    for path, facts in index.files.items():
-        for emit in facts["emits"]:
-            if emit["dynamic"] or not emit["name"]:
-                continue
-            if not have_registry:
-                continue
-            kind_names = registered.get(emit["kind"], set())
-            if emit["name"] not in kind_names:
-                yield _finding(
-                    path, emit, "RPL008",
-                    f"emit of unregistered {emit['kind']} name "
-                    f"'{emit['name']}'; regenerate the schema with "
-                    "'python -m repro.lint --write-trace-schema'",
-                )
-        if not facts["module"].startswith(CONSUMER_PREFIX):
-            continue
-        for consume in facts["consumes"]:
-            if consume["name"] not in all_emitted:
-                yield _finding(
-                    path, consume, "RPL008",
-                    f"consumer matches trace name '{consume['name']}' "
-                    "that no instrumentation site emits — typo on one "
-                    "side of the contract silently drops the signal",
-                )
-    if schema_path is not None:
-        for kind, names in registered.items():
-            for name in sorted(names - emitted[kind]):
-                yield CrossFinding(
-                    path=schema_path,
-                    line=registry_lines.get(kind, 1),
-                    end_line=registry_lines.get(kind, 1),
-                    rule_id="RPL008",
-                    message=(
-                        f"registered {kind} name '{name}' is no longer "
-                        "emitted; regenerate the schema with "
-                        "'python -m repro.lint --write-trace-schema'"
-                    ),
-                )
-
-
-SCHEMA_HEADER = '''"""Trace/metric name registry — GENERATED, do not edit by hand.
-
-Regenerate with ``python -m repro.lint --write-trace-schema`` whenever
-an instrumentation site is added, renamed or removed; RPL008 fails the
-lint when this file and the emit sites disagree. The
-:class:`repro.obs.recorder.Recorder` can cross-check names against
-this registry at runtime (``warn_unregistered=True``), keeping the
-static and dynamic views of the schema in sync.
-"""
-
-from __future__ import annotations
-
-'''
-
-
-def render_trace_schema(index: ProjectIndex) -> str:
-    """Render ``repro/obs/schema.py`` from the project's emit sites."""
-    emitted = emitted_names(index)
-
-    def block(title: str, names: set[str]) -> str:
-        if not names:
-            return f"{title} = frozenset()\n"
-        body = "".join(f'    "{name}",\n' for name in sorted(names))
-        return f"{title} = frozenset({{\n{body}}})\n"
-
-    return (
-        SCHEMA_HEADER
-        + "#: Every statically-known trace record name (events + spans).\n"
-        + block("TRACE_NAMES", emitted["trace"])
-        + "\n#: Every statically-known metric name "
-        + "(counters/gauges/histograms).\n"
-        + block("METRIC_NAMES", emitted["metric"])
-        + "\n#: Union view used by the runtime registry check.\n"
-        + "ALL_NAMES = TRACE_NAMES | METRIC_NAMES\n"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +337,6 @@ def check_wall_taint(index: ProjectIndex) -> Iterator[CrossFinding]:
 #: All cross-module checks in catalogue order.
 CROSS_CHECKS = (
     ("RPL007", check_units),
-    ("RPL008", check_trace_schema),
     ("RPL009", check_rng_streams),
     ("RPL010", check_wall_taint),
 )

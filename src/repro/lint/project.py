@@ -1,20 +1,19 @@
 """Whole-program analysis engine for :mod:`repro.lint`.
 
 The per-file rules (RPL001-006) see one AST at a time; the dataflow
-rules (RPL007-010) need to know what the *other* side of a call looks
-like — the unit suffix of a parameter defined two packages away, the
-trace names a consumer in ``repro.obs`` string-matches against, which
-RNG stream labels a callee derives from the factory it was handed.
+rules (RPL007, RPL009, RPL010) need to know what the *other* side of a
+call looks like — the unit suffix of a parameter defined two packages
+away, which RNG stream labels a callee derives from the factory it was
+handed.
 
 This module builds that project-wide view in two phases:
 
 1. **Extraction** (:func:`extract_facts`): one AST walk per file
    produces a JSON-able *facts* dict — module name, import map,
    function/class signatures with unit-suffix hints, call sites whose
-   arguments carry inferable units, trace emit/consume sites, RNG
-   stream flows and wall-clock taint seeds. Facts are content-hash
-   cached (:class:`FactsCache`), so a warm re-run re-parses only the
-   files whose bytes changed.
+   arguments carry inferable units, RNG stream flows and wall-clock
+   taint seeds. Facts are content-hash cached (:class:`FactsCache`),
+   so a warm re-run re-parses only the files whose bytes changed.
 
 2. **Indexing** (:class:`ProjectIndex`): facts from every file are
    folded into a symbol table (global key -> signature) and an
@@ -46,10 +45,6 @@ Facts schema (per file)
 ``binops``
     ``+``/``-`` expressions whose two operands both carry a unit or a
     resolvable call.
-``emits`` / ``consumes``
-    Trace/metric names produced (``obs.event("x.y")``,
-    ``WindowedStats(obs, "x.y")``, ...) and names string-matched
-    against a ``.name`` attribute.
 ``rng``
     Per-scope RNG stream flows: factory objects with their
     ``derive``/``child`` labels and onward passes, and derived
@@ -81,7 +76,7 @@ from repro.lint.rules import _CLOCK_CALLS, _suffix_unit, dotted_name
 
 #: Bump to invalidate every cached facts record (schema or extraction
 #: logic change).
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 #: Prefixes of global keys that can resolve inside the project.
 PROJECT_PREFIXES = ("repro.", "tools.", "examples.", "benchmarks.")
@@ -105,14 +100,10 @@ SCHEDULE_ATTRS = ("call_at", "call_later", "schedule_at", "schedule_later")
 #: Receiver leaf names treated as a trace recorder.
 RECORDER_NAMES = ("obs", "recorder", "_obs", "_recorder")
 
-#: Emitting method names on a recorder (trace + metric halves).
+#: Recorder methods whose time/value arguments are sim-time sinks
+#: (trace + metric halves).
 TRACE_EMIT_ATTRS = ("event", "span", "span_at")
 METRIC_EMIT_ATTRS = ("count", "gauge", "observe")
-
-#: Detector constructors that emit their ``name`` argument as trace
-#: events/spans (see repro.obs.detect); EwmaZScore additionally bumps
-#: a derived ``component/name_episodes`` counter on episode close.
-DETECTOR_CLASSES = ("WindowedStats", "EwmaZScore")
 
 
 def unit_of(name: str | None) -> str | None:
@@ -169,11 +160,8 @@ class _FactExtractor(ast.NodeVisitor):
         self.calls: list[dict[str, Any]] = []
         self.assigns: list[dict[str, Any]] = []
         self.binops: list[dict[str, Any]] = []
-        self.emits: list[dict[str, Any]] = []
-        self.consumes: list[dict[str, Any]] = []
         self.rng_scopes: dict[str, dict[str, Any]] = {}
         self.taint: dict[str, dict[str, Any]] = {}
-        self.registry: dict[str, dict[str, Any]] = {}
         self._class_stack: list[str] = []
         self._func_stack: list[str] = []
         self._module_defs: set[str] = set()
@@ -233,8 +221,6 @@ class _FactExtractor(ast.NodeVisitor):
             return f"{target}.{rest}" if rest else target
         if not rest and head in self._module_defs:
             return f"{self.module}.{head}"
-        if not rest and head in DETECTOR_CLASSES:
-            return f"repro.obs.detect.{head}"
         return None
 
     def _is_wall_call(self, node: ast.Call) -> bool:
@@ -425,13 +411,6 @@ class _FactExtractor(ast.NodeVisitor):
             ctor = dotted_name(value.func)
             if ctor is not None and ctor.rsplit(".", 1)[-1] == "RngStreams":
                 self._rng_object(target_name, origin="ctor")
-        # Generated trace-name registry (repro/obs/schema.py).
-        if target_name in ("TRACE_NAMES", "METRIC_NAMES") and not self._func_stack:
-            names = _literal_names(value)
-            if names is not None:
-                self.registry[
-                    "trace" if target_name == "TRACE_NAMES" else "metric"
-                ] = {"names": names, "line": node.lineno}
         # Wall-clock taint seeds and propagation edges.
         if self._func_stack and (
             desc["wall"] or desc["names"] or desc["calls"]
@@ -461,40 +440,8 @@ class _FactExtractor(ast.NodeVisitor):
                 })
         self.generic_visit(node)
 
-    def visit_Compare(self, node: ast.Compare) -> None:
-        self._note_consume(node)
-        self.generic_visit(node)
-
-    def _note_consume(self, node: ast.Compare) -> None:
-        """Record trace names string-matched against a ``.name``."""
-        sides = [node.left] + list(node.comparators)
-        has_name_attr = any(
-            isinstance(side, ast.Attribute) and side.attr == "name"
-            for side in sides
-        )
-        if not has_name_attr:
-            return
-        for side in sides:
-            literals: list[tuple[str, int]] = []
-            if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                literals.append((side.value, side.lineno))
-            elif isinstance(side, (ast.Tuple, ast.List, ast.Set)):
-                for element in side.elts:
-                    if isinstance(element, ast.Constant) and isinstance(
-                        element.value, str
-                    ):
-                        literals.append((element.value, element.lineno))
-            for value, line in literals:
-                if "." in value or "/" in value:
-                    self.consumes.append({
-                        "name": value,
-                        "line": line,
-                        "end": getattr(node, "end_lineno", line),
-                    })
-
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        self._note_emit(node)
         self._note_rng_call(node)
         self._note_sinks(node)
         resolved = self._resolve(node.func)
@@ -516,66 +463,6 @@ class _FactExtractor(ast.NodeVisitor):
                     "kwargs": kwargs,
                 })
         self.generic_visit(node)
-
-    def _note_emit(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            receiver = dotted_name(func.value)
-            receiver_leaf = (
-                receiver.rsplit(".", 1)[-1] if receiver is not None else ""
-            )
-            if receiver_leaf in RECORDER_NAMES and func.attr in (
-                TRACE_EMIT_ATTRS + METRIC_EMIT_ATTRS
-            ):
-                kind = "metric" if func.attr in METRIC_EMIT_ATTRS else "trace"
-                self._append_emit(node, kind, via=func.attr)
-                return
-        resolved = self._resolve(func)
-        leaf = resolved.rsplit(".", 1)[-1] if resolved else ""
-        if leaf in DETECTOR_CLASSES:
-            name_node: ast.AST | None = None
-            if len(node.args) >= 2:
-                name_node = node.args[1]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "name":
-                        name_node = kw.value
-            if isinstance(name_node, ast.Constant) and isinstance(
-                name_node.value, str
-            ):
-                name = name_node.value
-                entry = {
-                    "name": name,
-                    "kind": "trace",
-                    "via": leaf,
-                    "line": node.lineno,
-                    "end": getattr(node, "end_lineno", node.lineno),
-                    "dynamic": False,
-                }
-                self.emits.append(entry)
-                if leaf == "EwmaZScore":
-                    # Episode close bumps a derived counter (see
-                    # EwmaZScore._close).
-                    self.emits.append({
-                        **entry,
-                        "name": name.replace(".", "/", 1) + "_episodes",
-                        "kind": "metric",
-                    })
-
-    def _append_emit(self, node: ast.Call, kind: str, via: str) -> None:
-        name_node = node.args[0] if node.args else None
-        dynamic = not (
-            isinstance(name_node, ast.Constant)
-            and isinstance(name_node.value, str)
-        )
-        self.emits.append({
-            "name": None if dynamic else name_node.value,  # type: ignore[union-attr]
-            "kind": kind,
-            "via": via,
-            "line": node.lineno,
-            "end": getattr(node, "end_lineno", node.lineno),
-            "dynamic": dynamic,
-        })
 
     # -- RNG flows -----------------------------------------------------
     def _rng_scope(self) -> dict[str, Any]:
@@ -711,29 +598,9 @@ def extract_facts(source: str, path: str, module: str) -> dict[str, Any]:
         "calls": extractor.calls,
         "assigns": extractor.assigns,
         "binops": extractor.binops,
-        "emits": extractor.emits,
-        "consumes": extractor.consumes,
         "rng": extractor.rng_scopes,
         "taint": extractor.taint,
-        "registry": extractor.registry,
     }
-
-
-def _literal_names(node: ast.AST) -> list[str] | None:
-    """String elements of a literal ``frozenset({...})``/set/tuple."""
-    if isinstance(node, ast.Call) and node.args:
-        callee = dotted_name(node.func)
-        if callee is not None and callee.rsplit(".", 1)[-1] == "frozenset":
-            node = node.args[0]
-    if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        names = [
-            element.value
-            for element in node.elts
-            if isinstance(element, ast.Constant)
-            and isinstance(element.value, str)
-        ]
-        return names
-    return None
 
 
 # ----------------------------------------------------------------------

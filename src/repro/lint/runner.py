@@ -8,7 +8,7 @@ Two entry layers live here:
 * the project API (:func:`lint_project`) — parses every file once,
   runs the per-file rules *and* extracts cross-module facts from the
   same AST, builds the :class:`~repro.lint.project.ProjectIndex` and
-  runs RPL007-010 on top. Per-file results (findings + facts + pragma
+  runs RPL007/009/010 on top. Per-file results (findings + facts + pragma
   lines) are content-hash cached, so a warm re-run only re-analyzes
   changed files; the cross rules always re-run (they are cheap — the
   expensive part is the per-file AST work).
@@ -138,8 +138,8 @@ def _analyze_one(
     The AST is parsed exactly once and shared between the per-file
     rules and the fact extractor. ``skip-file`` sources keep their
     facts (the cross-module analysis must stay sound — a skipped file
-    still *emits* trace names and *derives* RNG labels) but contribute
-    no findings of their own.
+    still *defines* callee signatures and *derives* RNG labels) but
+    contribute no findings of their own.
     """
     from repro.lint.output import _finding_dict
     from repro.lint.project import extract_facts
@@ -172,7 +172,7 @@ def lint_project(
     cache: "Any | None" = None,
     root: str | Path | None = None,
 ) -> tuple[list[Finding], dict[str, Any]]:
-    """Whole-program lint: per-file rules plus RPL007-010.
+    """Whole-program lint: per-file rules plus RPL007/009/010.
 
     Either ``paths`` (walked on disk) or ``sources`` (``{path:
     source}``, used by tests to lint synthetic projects) must be
@@ -336,12 +336,6 @@ def add_lint_arguments(parser: "Any") -> None:
         help="fail (exit 3) if the whole run exceeds this wall-clock "
         "budget — the CI timing guard",
     )
-    parser.add_argument(
-        "--write-trace-schema",
-        action="store_true",
-        help="regenerate src/repro/obs/schema.py from the emit sites "
-        "and exit",
-    )
 
 
 def run_with_args(args: "Any", parser: "Any") -> int:
@@ -370,8 +364,8 @@ def run_with_args(args: "Any", parser: "Any") -> int:
     cache = None if args.no_cache else FactsCache(args.cache_dir)
     try:
         # Cross-module rules are only sound over the whole program: a
-        # partial project would misread every out-of-scope emit site
-        # as missing. Analyze the full default scope, then report only
+        # partial project would miss every out-of-scope callee and RNG
+        # derive. Analyze the full default scope, then report only
         # findings inside the requested paths.
         requested = {str(p) for p in iter_python_files(args.paths)}
         scope = list(args.paths) + [
@@ -383,8 +377,6 @@ def run_with_args(args: "Any", parser: "Any") -> int:
             str(file_path): file_path.read_text(encoding="utf-8")
             for file_path in iter_python_files(scope)
         }
-        if args.write_trace_schema:
-            return _write_trace_schema(sources, cache)
         findings, summary = lint_project(
             sources=sources, select=select, cache=cache
         )
@@ -433,26 +425,6 @@ def run_with_args(args: "Any", parser: "Any") -> int:
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
-def _write_trace_schema(
-    sources: dict[str, str], cache: "Any | None"
-) -> int:
-    from repro.lint.crossrules import render_trace_schema
-    from repro.lint.project import build_project
-
-    index, errors = build_project(sources, cache=cache)
-    if errors:
-        for path, exc in errors:
-            print(f"repro.lint: cannot parse {path}: {exc.msg}")
-        return EXIT_INTERNAL
-    target = Path("src/repro/obs/schema.py")
-    if not target.parent.is_dir():
-        print(f"repro.lint: no such package directory: {target.parent}")
-        return EXIT_INTERNAL
-    target.write_text(render_trace_schema(index), encoding="utf-8")
-    print(f"wrote {target}")
-    return EXIT_CLEAN
-
-
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Entry point shared by ``python -m repro.lint`` and ``repro lint``."""
     import argparse
@@ -460,8 +432,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Whole-program invariant linter for the reproduction "
-        "(determinism, unit dimensions, trace-schema contracts, RNG "
-        "stream discipline, wall-clock taint).",
+        "(determinism, unit dimensions, RNG stream discipline, "
+        "wall-clock taint).",
     )
     add_lint_arguments(parser)
     args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ from repro.util.rng import BatchedNormal
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Datagram
 from repro.net.simulator import EventLoop
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, names
 
 ReceiveFn = Callable[[Datagram], None]
 
@@ -124,7 +124,7 @@ class NetworkPath:
 
     def _close_burst(self) -> None:
         self.obs.span_at(
-            "loss.burst",
+            names.LOSS_BURST,
             self._burst_t0,
             self._burst_t1,
             packets=self._burst_packets,

@@ -10,6 +10,8 @@ Public surface:
 * :data:`NULL_RECORDER` — the near-zero-cost default every component
   holds; untraced runs pay one ``obs.enabled`` attribute check per
   instrumented site;
+* :mod:`repro.obs.names` — one constant per trace record name, shared
+  by every emit site and every consumer;
 * JSONL export/import (:func:`write_jsonl` / :func:`read_jsonl`) and
   the text timeline (:func:`merge_traces` / :func:`filter_records` /
   :func:`render_timeline`) behind the ``repro trace`` CLI;

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from repro.obs import names
 from repro.obs.detect import Violation
 from repro.obs.recorder import TraceEvent, TraceRecord, TraceSpan
 from repro.util.units import ms, to_mbps, to_ms
@@ -179,7 +180,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
         labels = record.labels
         if isinstance(record, TraceSpan):
             t0, t1 = record.t0, record.t1
-            if record.name == "handover.execution":
+            if record.name == names.HANDOVER_EXECUTION:
                 het_s = ms(float(labels.get("het_ms", to_ms(t1 - t0))))
                 # Pre-handover degradation precedes the outage and
                 # post-handover recovery trails it, so widen the
@@ -195,7 +196,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     ),
                     source=record.name,
                 ))
-            elif record.name == "loss.burst":
+            elif record.name == names.LOSS_BURST:
                 packets = float(labels.get("packets", 1.0))
                 causes.append(Cause(
                     kind=LOSS_BURST,
@@ -207,7 +208,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                               else ")"),
                     source=record.name,
                 ))
-            elif record.name == "channel.capacity_dip":
+            elif record.name == names.CHANNEL_CAPACITY_DIP:
                 causes.append(Cause(
                     kind=CAPACITY_DIP,
                     t0=t0,
@@ -219,7 +220,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     ),
                     source=record.name,
                 ))
-            elif record.name == "cell.congestion":
+            elif record.name == names.CELL_CONGESTION:
                 min_share = float(labels.get("min_share", 1.0))
                 causes.append(Cause(
                     kind=CELL_CONGESTION,
@@ -232,7 +233,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     ),
                     source=record.name,
                 ))
-            elif record.name == "channel.interference_outlier":
+            elif record.name == names.CHANNEL_INTERFERENCE_OUTLIER:
                 causes.append(Cause(
                     kind=INTERFERENCE,
                     t0=t0,
@@ -241,7 +242,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     detail="interference outlier episode",
                     source=record.name,
                 ))
-            elif record.name == "receiver.owd_anomaly":
+            elif record.name == names.RECEIVER_OWD_ANOMALY:
                 causes.append(Cause(
                     kind=BUFFERBLOAT,
                     t0=t0,
@@ -253,7 +254,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     ),
                     source=record.name,
                 ))
-            elif record.name == "sender.queue_anomaly":
+            elif record.name == names.SENDER_QUEUE_ANOMALY:
                 causes.append(Cause(
                     kind=QUEUE_BLOAT,
                     t0=t0,
@@ -267,7 +268,9 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                 ))
         elif isinstance(record, TraceEvent):
             t = record.time
-            if record.name in ("gcc.rate_decrease", "scream.rate_decrease"):
+            if record.name in (
+                names.GCC_RATE_DECREASE, names.SCREAM_RATE_DECREASE
+            ):
                 from_bps = float(labels.get("from_bps", 0.0))
                 to_bps = float(labels.get("to_bps", from_bps))
                 drop = (
@@ -287,7 +290,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     ),
                     source=record.name,
                 ))
-            elif record.name == "jitter.gap":
+            elif record.name == names.JITTER_GAP:
                 penalty_ms = float(labels.get("penalty_ms", 0.0))
                 causes.append(Cause(
                     kind=JITTER_GAP,
@@ -301,7 +304,7 @@ def causes_from_trace(trace: Iterable[TraceRecord]) -> list[Cause]:
                     ),
                     source=record.name,
                 ))
-            elif record.name == "player.underrun":
+            elif record.name == names.PLAYER_UNDERRUN:
                 causes.append(Cause(
                     kind=UNDERRUN,
                     t0=t,

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from repro.obs import names
 from repro.obs.recorder import NullRecorder, TraceEvent, TraceRecord
 from repro.obs.slo import Slo, SloRegistry
 from repro.util.units import bytes_to_bits
@@ -337,7 +338,10 @@ class EwmaZScore:
 def session_config_labels(trace: Iterable[TraceRecord]) -> dict[str, Any]:
     """Labels of the first ``session.config`` event (empty if absent)."""
     for record in trace:
-        if isinstance(record, TraceEvent) and record.name == "session.config":
+        if (
+            isinstance(record, TraceEvent)
+            and record.name == names.SESSION_CONFIG
+        ):
             return dict(record.labels)
     return {}
 
@@ -367,7 +371,7 @@ def samples_from_trace(
     for record in trace:
         if not isinstance(record, TraceEvent):
             continue
-        if record.name == "player.window":
+        if record.name == names.PLAYER_WINDOW:
             t0, t1 = _bin_bounds(record)
             width = max(t1 - t0, _EPS)
             partial = bool(record.labels.get("partial"))
@@ -384,7 +388,7 @@ def samples_from_trace(
                     signals[signal].append(
                         WindowSample(t0, t1, float(value), partial)
                     )
-        elif record.name == "receiver.window":
+        elif record.name == names.RECEIVER_WINDOW:
             t0, t1 = _bin_bounds(record)
             width = max(t1 - t0, _EPS)
             partial = bool(record.labels.get("partial"))

@@ -534,18 +534,3 @@ class FleetMetricsPlane:
         """Merge this plane's snapshot into ``registry``."""
         registry.merge_snapshot(self.snapshot())
 
-
-def _declare_fleet_plane_names(obs) -> None:
-    """RPL008 declaration twin for names the plane writes directly.
-
-    :class:`FleetMetricsPlane` builds its registry records from numpy
-    arrays rather than through recorder calls, so the static
-    trace-schema scan cannot see the metric names at their real emit
-    sites. This never-called function declares them with literal
-    recorder calls the linter does recognize.
-    """
-    obs.count("fleet/ticks")
-    obs.count("fleet/congestion_time")
-    obs.observe("fleet/uplink_bps", 0.0)
-    obs.observe("fleet/uplink_share", 0.0)
-    obs.observe("fleet/sinr_db", 0.0)

@@ -12,6 +12,7 @@ one attribute check per site and allocates nothing.
 Naming convention: record names are ``component.what`` (for example
 ``handover.execution``, ``gcc.overuse``); the part before the first
 dot is the *component*, which the ``repro trace`` CLI filters on.
+Every trace name is a constant in :mod:`repro.obs.names`.
 Metric names use ``component/name`` (see :mod:`repro.obs.metrics`).
 """
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 import enum
 import math
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.names import TRACE_NAMES
 
 
 class ObsLevel(enum.Enum):
@@ -139,6 +140,14 @@ class TraceSpan:
 TraceRecord = TraceEvent | TraceSpan
 
 
+def _check_trace_name(name: str) -> None:
+    if name not in TRACE_NAMES:
+        raise ValueError(
+            f"unknown trace name {name!r}; trace names are the constants "
+            "in repro.obs.names"
+        )
+
+
 class NullRecorder:
     """Do-nothing recorder: the default wired into every component.
 
@@ -197,13 +206,9 @@ class Recorder(NullRecorder):
     whose execution time is drawn up front) expressible without
     callbacks.
 
-    With ``warn_unregistered=True`` (a debug mode — one set lookup per
-    record, so off by default) every emitted name is checked against
-    the generated :mod:`repro.obs.schema` registry, and the first use
-    of each unregistered name raises a :class:`UserWarning`. This is
-    the runtime twin of the RPL008 static check: the linter catches
-    names in code it can see, the warning catches names built
-    dynamically at run time.
+    A trace name outside :data:`repro.obs.names.TRACE_NAMES` raises
+    :class:`ValueError`. The check runs only where a trace record is
+    appended, so the null and metrics tiers never pay for it.
 
     With ``measure_overhead=True`` every recording method times itself
     (two clock reads per record) and accumulates into
@@ -217,11 +222,7 @@ class Recorder(NullRecorder):
     level = ObsLevel.TRACE
 
     def __init__(
-        self,
-        clock: Any | None = None,
-        *,
-        warn_unregistered: bool = False,
-        measure_overhead: bool = False,
+        self, clock: Any | None = None, *, measure_overhead: bool = False
     ) -> None:
         self.registry = MetricsRegistry()
         self.trace: list[TraceRecord] = []
@@ -231,34 +232,6 @@ class Recorder(NullRecorder):
         # Wall-clock self-accounting only: the measured time never
         # reaches sim state or record timestamps.
         self._timer = time.perf_counter if measure_overhead else None  # repro-lint: ignore[RPL001]  # overhead self-metric
-        self._known_names: frozenset[str] | None = None
-        self._warned_names: set[str] = set()
-        if warn_unregistered:
-            try:
-                from repro.obs.schema import ALL_NAMES
-            except ImportError:
-                warnings.warn(
-                    "repro.obs.schema missing; regenerate it with "
-                    "'python -m repro.lint --write-trace-schema' to "
-                    "enable unregistered-name warnings",
-                    stacklevel=2,
-                )
-            else:
-                self._known_names = ALL_NAMES
-
-    def _check_name(self, name: str) -> None:
-        if (
-            self._known_names is not None
-            and name not in self._known_names
-            and name not in self._warned_names
-        ):
-            self._warned_names.add(name)
-            warnings.warn(
-                f"trace/metric name {name!r} is not in the generated "
-                "schema registry; regenerate it with "
-                "'python -m repro.lint --write-trace-schema'",
-                stacklevel=3,
-            )
 
     def bind(self, clock: Any) -> None:
         """Attach the sim clock (any object exposing ``.now``)."""
@@ -276,8 +249,7 @@ class Recorder(NullRecorder):
         """Record a point event at ``t`` (default: the sim clock)."""
         timer = self._timer
         start = timer() if timer is not None else 0.0
-        if self._known_names is not None:
-            self._check_name(name)
+        _check_trace_name(name)
         self.trace.append(
             TraceEvent(
                 name=name,
@@ -293,8 +265,7 @@ class Recorder(NullRecorder):
         """Record a completed span with explicit bounds."""
         timer = self._timer
         start = timer() if timer is not None else 0.0
-        if self._known_names is not None:
-            self._check_name(name)
+        _check_trace_name(name)
         self.trace.append(
             TraceSpan(name=name, t0=t0, t1=t1, labels=labels, depth=self._depth)
         )
@@ -310,8 +281,7 @@ class Recorder(NullRecorder):
         appended on entry so the trace preserves opening order; its
         ``t1`` is patched on exit.
         """
-        if self._known_names is not None:
-            self._check_name(name)
+        _check_trace_name(name)
         span = TraceSpan(
             name=name, t0=self.now, t1=self.now, labels=labels,
             depth=self._depth,
@@ -331,8 +301,6 @@ class Recorder(NullRecorder):
         """Increment the counter ``name{labels}``."""
         timer = self._timer
         start = timer() if timer is not None else 0.0
-        if self._known_names is not None:
-            self._check_name(name)
         self.registry.counter(name, **labels).inc(amount)
         if timer is not None:
             self.overhead_s += timer() - start
@@ -341,8 +309,6 @@ class Recorder(NullRecorder):
         """Set the gauge ``name{labels}``."""
         timer = self._timer
         start = timer() if timer is not None else 0.0
-        if self._known_names is not None:
-            self._check_name(name)
         self.registry.gauge(name, **labels).set(value)
         if timer is not None:
             self.overhead_s += timer() - start
@@ -357,8 +323,6 @@ class Recorder(NullRecorder):
         """Observe ``value`` in the histogram ``name{labels}``."""
         timer = self._timer
         start = timer() if timer is not None else 0.0
-        if self._known_names is not None:
-            self._check_name(name)
         self.registry.histogram(name, buckets=buckets, **labels).observe(value)
         if timer is not None:
             self.overhead_s += timer() - start

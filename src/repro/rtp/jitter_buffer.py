@@ -34,7 +34,7 @@ from typing import Callable
 
 from repro.rtp.packets import RtpPacket, TS_MOD, VIDEO_CLOCK_RATE, seq_distance
 from repro.net.simulator import EventHandle, EventLoop
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, names
 from repro.util.units import to_ms
 
 ReleaseFn = Callable[[RtpPacket, float], None]
@@ -204,7 +204,7 @@ class JitterBuffer:
                     self._gap_penalty_time = now
                 if self.obs.enabled:
                     self.obs.event(
-                        "jitter.gap",
+                        names.JITTER_GAP,
                         t=now,
                         packets=gap,
                         penalty_ms=to_ms(self._current_penalty(now)),

@@ -20,15 +20,11 @@ The planner is deliberately conservative about what may batch:
   :class:`~repro.obs.MetricsRecorder` records counters/gauges/
   histograms without a trace, so the vectorized execution is
   unperturbed;
-* :data:`~repro.runner.work.WORK_FLEET` units — batchable unless
-  trace-instrumented. A fleet batch groups a density sweep's fleets into
-  per-worker tasks: each fleet still executes whole (its members are
-  already vectorized internally — SoA contention plus member-stacked
-  tick plans, see :func:`repro.cellular.batch.install_fleet_plans`),
-  and results fan back into the per-unit cache as each batch lands,
-  so an interrupted density sweep resumes from the fleets that
-  finished;
-* everything else (ping probes) — scalar.
+* everything else — scalar. Ping probes have nothing to share, and a
+  fleet is already vectorized across its members internally (SoA
+  contention plus member-stacked tick plans, see
+  :func:`repro.cellular.batch.install_fleet_plans`); the scalar path
+  caches and resumes each fleet unit on its own.
 
 Two units land in the same batch only when their canonical
 fingerprints are identical *except for the seed* — the same material
@@ -47,13 +43,7 @@ from typing import Any
 
 from repro.core.config import ScenarioConfig
 from repro.obs import ObsLevel
-from repro.runner.work import (
-    WORK_CHANNEL_PROBE,
-    WORK_FLEET,
-    WORK_SESSION,
-    WorkUnit,
-    execute_unit,
-)
+from repro.runner.work import WORK_CHANNEL_PROBE, WORK_SESSION, WorkUnit
 from repro.util.rng import (
     STREAM_NORMAL,
     STREAM_UNIFORM,
@@ -95,14 +85,14 @@ def batch_key(unit: WorkUnit) -> str | None:
     removed — the exact cache-key material, so two units share a key
     iff they are the same cached computation modulo seed.
     """
-    if unit.kind in (WORK_SESSION, WORK_FLEET):
+    if unit.kind == WORK_SESSION:
         # Only trace-level obs forces the scalar path: the trace is
         # part of the payload and must observe per-tick scalar
-        # scheduling. Metrics-level units batch freely — the
-        # MetricsRecorder (session) / FleetMetricsPlane (fleet)
-        # record without perturbing the vectorized execution, and the
-        # tier stays inside the fingerprint, so the grouping key still
-        # separates instrumented from bare payloads.
+        # scheduling. Metrics-level sessions batch freely — the
+        # MetricsRecorder records without perturbing the vectorized
+        # execution, and the tier stays inside the fingerprint, so the
+        # grouping key still separates instrumented from bare
+        # payloads.
         if ObsLevel.coerce(dict(unit.params).get("obs")) is ObsLevel.TRACE:
             return None
     elif unit.kind != WORK_CHANNEL_PROBE:
@@ -220,8 +210,4 @@ def execute_batch(plan: BatchPlan) -> "list[Any]":
             )
             for unit in plan.units
         ]
-    # WORK_FLEET (and any future kind a caller schedules directly):
-    # each unit executes whole in this worker task — a fleet is
-    # already vectorized internally, so batching buys the sweep-level
-    # sharding and per-unit cache fan-back, not a shared draw plan.
-    return [execute_unit(unit) for unit in plan.units]
+    raise ValueError(f"cannot batch {plan.kind!r} units")

@@ -182,13 +182,11 @@ class CampaignRunner:
     batch:
         Execute cache-missed units of the same scenario-modulo-seed as
         struct-of-arrays seed sweeps (see :mod:`repro.runner.batch`).
-        Fleet units batch too: a density sweep's fleets are grouped
-        into per-worker tasks (each fleet is already vectorized
-        internally). Batched results are bit-identical to the scalar
-        path and fan back into the cache per unit, so an interrupted
-        batched campaign resumes from what completed. Units the
-        planner deems non-batchable (ping probes, instrumented
-        sessions/fleets) fall back to scalar execution transparently.
+        Batched results are bit-identical to the scalar path and fan
+        back into the cache per unit, so an interrupted batched
+        campaign resumes from what completed. Units the planner deems
+        non-batchable (ping probes, fleets, trace-instrumented
+        sessions) fall back to scalar execution transparently.
 
     The worker pool is created lazily on the first parallel campaign
     and **reused across** :meth:`run` calls — repeated campaigns skip

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.net.simulator import EventLoop
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, names
 from repro.obs.detect import WindowedStats
 from repro.util.units import to_ms
 from repro.video.frames import DecodedFrame
@@ -106,7 +106,7 @@ class Player:
         #: latency, worst inter-frame gap) — the signal substrate the
         #: SLO detector in :mod:`repro.obs.detect` evaluates.
         self._window = WindowedStats(
-            obs, "player.window",
+            obs, names.PLAYER_WINDOW,
             sums=("frames",), maxes=("latency_ms", "gap_ms"),
         )
         self._last_play_time: float | None = None
@@ -144,7 +144,7 @@ class Player:
             # Underrun: go idle; the next push restarts playback.
             self._next_play_at = None
             if self.obs.enabled:
-                self.obs.event("player.underrun", t=self._loop.now)
+                self.obs.event(names.PLAYER_UNDERRUN, t=self._loop.now)
                 self.obs.count("player/underruns")
             return
         frame = self._queue.popleft()

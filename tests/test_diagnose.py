@@ -139,7 +139,7 @@ class TestWindowedStats:
 
     def test_finish_without_samples_emits_nothing(self):
         recorder = Recorder()
-        stats = WindowedStats(recorder, "x.window", sums=("n",))
+        stats = WindowedStats(recorder, "receiver.window", sums=("n",))
         stats.finish(10.0)
         assert recorder.trace == []
 
@@ -147,7 +147,7 @@ class TestWindowedStats:
 class TestEwmaZScore:
     def test_episode_opens_and_closes_as_span(self):
         recorder = Recorder()
-        detector = EwmaZScore(recorder, "test.anomaly", warmup=10)
+        detector = EwmaZScore(recorder, "receiver.owd_anomaly", warmup=10)
         for i in range(40):
             detector.update(i * 0.1, 10.0 + (0.01 if i % 2 else -0.01))
         detector.update(5.0, 200.0)
@@ -156,14 +156,14 @@ class TestEwmaZScore:
         assert not detector.in_episode
         spans = [r for r in recorder.trace if isinstance(r, TraceSpan)]
         assert len(spans) == 1
-        assert spans[0].name == "test.anomaly"
+        assert spans[0].name == "receiver.owd_anomaly"
         assert spans[0].t0 == pytest.approx(5.0)
         assert spans[0].labels["peak"] == pytest.approx(200.0)
 
     def test_min_delta_floor_suppresses_micro_jitter(self):
         recorder = Recorder()
         detector = EwmaZScore(
-            recorder, "test.anomaly", warmup=10, min_delta=50.0
+            recorder, "receiver.owd_anomaly", warmup=10, min_delta=50.0
         )
         for i in range(40):
             detector.update(i * 0.1, 10.0 + (0.01 if i % 2 else -0.01))
@@ -174,7 +174,7 @@ class TestEwmaZScore:
 
     def test_finish_closes_open_episode(self):
         recorder = Recorder()
-        detector = EwmaZScore(recorder, "test.anomaly", warmup=5)
+        detector = EwmaZScore(recorder, "receiver.owd_anomaly", warmup=5)
         for i in range(10):
             detector.update(i * 0.1, 10.0 + (0.01 if i % 2 else -0.01))
         detector.update(2.0, 500.0)
@@ -185,7 +185,7 @@ class TestEwmaZScore:
 
     def test_never_fires_during_warmup(self):
         recorder = Recorder()
-        detector = EwmaZScore(recorder, "test.anomaly", warmup=100)
+        detector = EwmaZScore(recorder, "receiver.owd_anomaly", warmup=100)
         for i in range(50):
             detector.update(i * 0.1, 1e6 if i % 7 == 0 else 1.0)
         assert recorder.trace == []

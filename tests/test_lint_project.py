@@ -1,4 +1,4 @@
-"""Tests for the whole-program lint engine and rules RPL007-010.
+"""Tests for the whole-program lint engine and rules RPL007/009/010.
 
 Fixture projects are plain ``{path: source}`` dicts fed straight to
 :func:`build_project` / :func:`lint_project` — no disk needed — with
@@ -9,7 +9,6 @@ modules.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from repro.lint import (
     render_json,
     render_sarif,
 )
-from repro.lint.crossrules import render_trace_schema, run_cross_rules
+from repro.lint.crossrules import run_cross_rules
 from repro.lint.project import content_hash, module_name_for
 from repro.lint.runner import run_cli
 
@@ -328,105 +327,6 @@ class TestUnitDimensions:
 
 
 # ----------------------------------------------------------------------
-# RPL008 — trace-schema contracts
-# ----------------------------------------------------------------------
-EMITTER = (
-    "class Sender:\n"
-    "    def __init__(self, obs):\n"
-    "        self.obs = obs\n"
-    "    def run(self):\n"
-    "        if self.obs.enabled:\n"
-    "            self.obs.event(\"sender.tick\")\n"
-)
-
-CONSUMER = (
-    "def scan(records):\n"
-    "    return [r for r in records if r.name == \"sender.tick\"]\n"
-)
-
-
-def schema_module(trace: list[str], metric: list[str] | None = None) -> str:
-    trace_body = "".join(f'    "{n}",\n' for n in trace)
-    metric_body = "".join(f'    "{n}",\n' for n in metric or [])
-    return (
-        f"TRACE_NAMES = frozenset({{\n{trace_body}}})\n"
-        f"METRIC_NAMES = frozenset({{\n{metric_body}}})\n"
-    )
-
-
-class TestTraceSchema:
-    def test_registered_emit_and_matching_consumer_silent(self):
-        sources = {
-            "src/repro/fake_send.py": EMITTER,
-            "src/repro/obs/fake_detect.py": CONSUMER,
-            "src/repro/obs/schema.py": schema_module(["sender.tick"]),
-        }
-        assert cross_ids(sources) == []
-
-    def test_unregistered_emit_fires(self):
-        sources = {
-            "src/repro/fake_send.py": EMITTER,
-            "src/repro/obs/schema.py": schema_module(["sender.other"]),
-        }
-        # Two findings: the unregistered emit and the stale registry
-        # entry for the name nothing emits.
-        assert cross_ids(sources) == ["RPL008", "RPL008"]
-
-    def test_consumer_of_never_emitted_name_fires(self):
-        sources = {
-            "src/repro/obs/fake_detect.py": CONSUMER,  # nothing emits
-        }
-        ids = cross_ids(sources)
-        assert ids == ["RPL008"]
-
-    def test_consumer_outside_repro_obs_is_not_checked(self):
-        sources = {
-            "src/repro/fake_tool.py": CONSUMER,  # ad-hoc analysis code
-        }
-        assert cross_ids(sources) == []
-
-    def test_detector_constructor_counts_as_emit(self):
-        sources = {
-            "src/repro/fake_det.py": (
-                "from repro.obs.detect import EwmaZScore\n"
-                "\n"
-                "def build(obs):\n"
-                "    return EwmaZScore(obs, \"receiver.owd\", alpha=0.1)\n"
-            ),
-            "src/repro/obs/fake_use.py": (
-                "def scan(records):\n"
-                "    return [r for r in records"
-                " if r.name == \"receiver.owd\"]\n"
-            ),
-        }
-        assert cross_ids(sources) == []
-
-    def test_seeded_typo_in_live_tree_is_caught(self):
-        """Acceptance: cell.congestion -> cell.congested trips RPL008."""
-        sources = repo_sources()
-        channel = str(REPO_ROOT / "src/repro/cellular/channel.py")
-        assert '"cell.congestion"' in sources[channel]
-        sources[channel] = sources[channel].replace(
-            '"cell.congestion"', '"cell.congested"'
-        )
-        index, _ = build_project(sources, root=REPO_ROOT)
-        findings = [
-            f for f in run_cross_rules(index) if f.rule_id == "RPL008"
-        ]
-        messages = "\n".join(f.message for f in findings)
-        assert "cell.congested" in messages  # unregistered emit
-        assert "cell.congestion" in messages  # orphaned consumer + stale
-
-    def test_render_trace_schema_round_trips(self):
-        sources = {"src/repro/fake_send.py": EMITTER}
-        index, _ = build_project(sources)
-        rendered = render_trace_schema(index)
-        assert '"sender.tick"' in rendered
-        sources["src/repro/obs/schema.py"] = rendered
-        assert cross_ids(sources) == []
-
-
-# ----------------------------------------------------------------------
 # RPL009 — RNG stream aliasing
 # ----------------------------------------------------------------------
 class TestRngStreams:
@@ -632,16 +532,25 @@ class TestCrossPragmas:
         assert [f.rule_id for f in findings] == ["RPL010"]
 
     def test_skip_file_suppresses_findings_but_keeps_facts(self):
-        # A skipped emitter must still register its trace names, or the
-        # consumer in repro.obs would be misreported as orphaned.
+        # A skipped callee must still register its signature, or the
+        # unit mismatch at the call site in another file would vanish.
         sources = {
-            "src/repro/fake_send.py": (
-                "# repro-lint: skip-file\n" + EMITTER
+            "src/repro/fake_api.py": (
+                "# repro-lint: skip-file\n"
+                "def send(timeout_s):\n"
+                "    return timeout_s\n"
             ),
-            "src/repro/obs/fake_detect.py": CONSUMER,
+            "src/repro/fake_use.py": (
+                "from repro.fake_api import send\n"
+                "\n"
+                "def go(delay_ms):\n"
+                "    send(delay_ms)\n"
+            ),
         }
         findings, _ = lint_project(sources=sources)
-        assert findings == []
+        assert [(f.path, f.rule_id) for f in findings] == [
+            ("src/repro/fake_use.py", "RPL007")
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -681,8 +590,8 @@ class TestOutput:
         loaded = Baseline.load(baseline_file)
         assert loaded.new_findings([self.FINDING]) == []
         other = Finding(
-            path="src/y.py", line=1, col=1, rule_id="RPL008",
-            message="orphan",
+            path="src/y.py", line=1, col=1, rule_id="RPL009",
+            message="shared stream",
         )
         assert loaded.new_findings([self.FINDING, other]) == [other]
 
@@ -793,17 +702,6 @@ class TestCli:
         assert run_cli(["src"]) == 3
         assert "internal error" in capsys.readouterr().out
 
-    def test_write_trace_schema(self, fixture_tree, capsys):
-        obs = fixture_tree / "src" / "repro" / "obs"
-        obs.mkdir()
-        (fixture_tree / "src" / "repro" / "emit.py").write_text(
-            EMITTER, encoding="utf-8"
-        )
-        assert run_cli(["src", "--write-trace-schema"]) == 0
-        schema = (obs / "schema.py").read_text(encoding="utf-8")
-        assert '"sender.tick"' in schema
-        capsys.readouterr()
-
     def test_cache_reused_across_invocations(self, fixture_tree, capsys):
         run_cli(["src", "--select", "RPL010"])
         capsys.readouterr()
@@ -821,38 +719,11 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# runtime schema warnings (Recorder debug mode)
-# ----------------------------------------------------------------------
-class TestRecorderSchemaWarnings:
-    def test_unregistered_name_warns_once(self):
-        from repro.obs.recorder import Recorder
-
-        recorder = Recorder(warn_unregistered=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            recorder.event("gcc.overuse")  # registered: silent
-            recorder.event("gcc.oversue")  # typo: warns
-            recorder.event("gcc.oversue")  # repeat: silent
-            recorder.count("gcc/overuse_events")  # registered metric
-        assert len(caught) == 1
-        assert "gcc.oversue" in str(caught[0].message)
-
-    def test_default_mode_never_warns(self):
-        from repro.obs.recorder import Recorder
-
-        recorder = Recorder()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            recorder.event("totally.unknown")
-        assert caught == []
-
-
-# ----------------------------------------------------------------------
 # live-repo gates and regressions
 # ----------------------------------------------------------------------
 class TestRepoGates:
     def test_repo_is_clean_whole_program(self):
-        """The shipped tree passes RPL001-010 with an empty baseline."""
+        """The shipped tree passes every rule with an empty baseline."""
         findings, _ = lint_project(
             sources=repo_sources(), root=REPO_ROOT
         )
@@ -863,19 +734,6 @@ class TestRepoGates:
             (REPO_ROOT / "lint-baseline.json").read_text(encoding="utf-8")
         )
         assert payload["findings"] == []
-
-    def test_trace_schema_is_fresh(self):
-        """src/repro/obs/schema.py matches the current emit sites."""
-        index, errors = build_project(repo_sources(), root=REPO_ROOT)
-        assert errors == []
-        expected = render_trace_schema(index)
-        current = (REPO_ROOT / "src/repro/obs/schema.py").read_text(
-            encoding="utf-8"
-        )
-        assert current == expected, (
-            "schema registry is stale; run "
-            "'python -m repro.lint --write-trace-schema'"
-        )
 
     def test_cc_bench_import_is_side_effect_free(self):
         """Regression (RPL009): importing tools/cc_bench.py must not

@@ -27,6 +27,7 @@ from repro.obs import (
     filter_records,
     format_key,
     merge_traces,
+    names,
     read_jsonl,
     read_status,
     render_status,
@@ -312,7 +313,7 @@ class TestRecorder:
         with recorder.span("handover.execution", target=5):
             clock.now = 10.5
             recorder.event("gcc.overuse")
-            with recorder.span("gcc.backoff"):
+            with recorder.span("loss.burst"):
                 clock.now = 10.8
             clock.now = 11.0
         recorder.event("jitter.gap")
@@ -340,6 +341,39 @@ class TestRecorder:
         assert recorder.registry.get("sender/packets_sent").value == 3
         assert recorder.registry.get("gcc/target_bitrate").value == 7e6
         assert recorder.registry.get("receiver/owd_ms").count == 1
+
+
+class TestTraceNames:
+    def test_recorder_rejects_unknown_trace_name(self):
+        # cell.congestion -> cell.congested would silently zero the
+        # cell_congestion attribution share; the recorder refuses it.
+        recorder = Recorder(FakeClock(1.0))
+        with pytest.raises(ValueError, match="cell.congested"):
+            recorder.event("cell.congested")
+        with pytest.raises(ValueError, match="cell.congested"):
+            recorder.span_at("cell.congested", 1.0, 2.0)
+        with pytest.raises(ValueError, match="cell.congested"):
+            with recorder.span("cell.congested"):
+                pass
+        assert recorder.trace == []
+        recorder.event(names.CELL_CONGESTION)
+        assert [r.name for r in recorder.trace] == ["cell.congestion"]
+
+    def test_metrics_and_null_recorders_accept_any_name(self):
+        for recorder in (MetricsRecorder(), NullRecorder()):
+            recorder.event("cell.congested")
+            recorder.span_at("cell.congested", 1.0, 2.0)
+            with recorder.span("cell.congested"):
+                pass
+            assert getattr(recorder, "trace", []) == []
+
+    def test_trace_names_are_distinct(self):
+        constants = {
+            key: value for key, value in vars(names).items()
+            if key.isupper() and isinstance(value, str)
+        }
+        assert len(set(constants.values())) == len(constants)
+        assert names.TRACE_NAMES == frozenset(constants.values())
 
 
 # ----------------------------------------------------------------------

@@ -264,29 +264,23 @@ class TestBatchPlanner:
         assert plans == []
         assert [i for i, _ in scalar] == list(range(len(units)))
 
-    def test_fleet_units_batch_unless_instrumented(self):
-        # Density sweeps plan their fleet units into per-worker
-        # batches (executed whole, with per-unit cache fan-back);
-        # instrumented fleets keep the scalar path like instrumented
-        # sessions do.
+    def test_fleet_units_stay_scalar(self):
+        # A fleet is already vectorized across its members, and the
+        # scalar path caches and resumes each fleet unit on its own,
+        # so the planner never batches fleets at any obs tier.
         config = ScenarioConfig(cc="static", duration=5.0)
-        units = [
-            make_unit(WORK_FLEET, config.with_overrides(seed=s), num_sessions=2)
-            for s in (1, 2, 3)
-        ]
-        plans, scalar = plan_batches(list(enumerate(units)))
-        assert scalar == []
-        assert len(plans) == 1 and plans[0].indices == (0, 1, 2)
-        traced = [
-            make_unit(
-                WORK_FLEET, config.with_overrides(seed=s), num_sessions=2,
-                obs=True,
-            )
-            for s in (1, 2)
-        ]
-        plans, scalar = plan_batches(list(enumerate(traced)))
-        assert plans == []
-        assert [i for i, _ in scalar] == [0, 1]
+        for obs in (None, "metrics", "trace"):
+            extra = {} if obs is None else {"obs": obs}
+            units = [
+                make_unit(
+                    WORK_FLEET, config.with_overrides(seed=s),
+                    num_sessions=2, **extra,
+                )
+                for s in (1, 2, 3)
+            ]
+            plans, scalar = plan_batches(list(enumerate(units)))
+            assert plans == []
+            assert [i for i, _ in scalar] == [0, 1, 2]
 
     def test_singleton_and_duplicate_seeds_stay_scalar(self):
         config = ScenarioConfig(cc="static", duration=5.0)
@@ -363,25 +357,20 @@ class TestBatchedCampaign:
 class TestMetricsLevelBatching:
     """Metrics-tier obs must keep the batch planner engaged (PR 10)."""
 
-    def test_metrics_sessions_and_fleets_still_batch(self):
+    def test_metrics_sessions_still_batch(self):
         from repro.runner.batch import batch_key
 
         config = ScenarioConfig(cc="static", duration=5.0)
-        for kind, extra in (
-            (WORK_SESSION, {}),
-            (WORK_FLEET, {"num_sessions": 2}),
-        ):
-            units = [
-                make_unit(
-                    kind, config.with_overrides(seed=s),
-                    obs="metrics", **extra,
-                )
-                for s in (1, 2, 3)
-            ]
-            assert all(batch_key(u) is not None for u in units)
-            plans, scalar = plan_batches(list(enumerate(units)))
-            assert scalar == []
-            assert len(plans) == 1 and plans[0].indices == (0, 1, 2)
+        units = [
+            make_unit(
+                WORK_SESSION, config.with_overrides(seed=s), obs="metrics"
+            )
+            for s in (1, 2, 3)
+        ]
+        assert all(batch_key(u) is not None for u in units)
+        plans, scalar = plan_batches(list(enumerate(units)))
+        assert scalar == []
+        assert len(plans) == 1 and plans[0].indices == (0, 1, 2)
 
     def test_obs_tiers_never_share_a_group(self):
         from repro.runner.batch import batch_key
@@ -408,6 +397,10 @@ class TestMetricsLevelBatching:
         with CampaignRunner(1, batch=True) as runner:
             results = runner.run(units)
         assert runner.telemetry.executed == len(units)
+        # Fleets run scalar even on a batching runner.
+        assert all(
+            "/batch" not in run.worker for run in runner.telemetry.runs
+        )
         for result in results:
             plane = [
                 r for r in result.extra["metrics"]

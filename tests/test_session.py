@@ -35,6 +35,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(duration=0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(duration=duration)
+
+    def test_unknown_extra_key_rejected(self):
+        with pytest.raises(ValueError, match="make_before_brake"):
+            ScenarioConfig(extra={"make_before_brake": True})
+
+    def test_known_extra_keys_accepted(self):
+        config = ScenarioConfig(
+            extra={
+                "a3": (2.0, 0.1),
+                "het": 0.05,
+                "make_before_break": True,
+                "ramp_up_speed": 1e6,
+            }
+        )
+        assert set(config.extra) == {
+            "a3", "het", "make_before_break", "ramp_up_speed"
+        }
+
     def test_with_overrides(self):
         config = ScenarioConfig(seed=1)
         other = config.with_overrides(seed=9, duration=10.0)
