@@ -1,13 +1,13 @@
-"""Bench: vectorized fleet fast path vs the scalar reference at N=64.
+"""Bench: the fleet engine vs the scalar reference fleet at N=64.
 
 A 64-member shared-cell fleet executed two ways over the same config:
-``run_fleet(fast=False)`` (the scalar reference — per-member per-tick
-Python loops, quadratic ``ScalarCellContention.shares``) and
-``run_fleet(fast=True)`` (struct-of-arrays contention with the
-versioned allocation cache, member-stacked tick plans, and the shared
-:class:`~repro.cellular.batch.FleetTicker` that drives every member's
-tick from one loop event with fleet-wide A3 hints and batched
-interference sums).
+``run_reference_fleet`` from ``tests/fleet_oracle.py`` (the scalar
+reference — per-member per-tick Python loops, quadratic
+``ScalarCellContention.shares``) and ``run_fleet`` (struct-of-arrays
+contention with the versioned allocation cache, member-stacked tick
+plans, and the shared :class:`~repro.cellular.batch.FleetTicker` that
+drives every member's tick from one loop event with fleet-wide A3
+hints and batched interference sums).
 
 The shape is pinned, not env-scaled: load balancing is disabled
 (``lb_step_db=0``) so members pile onto the strongest cells and stay
@@ -19,8 +19,10 @@ bench measures the contention/tick machinery, not media work.
 Bit-identity is asserted *before* the speedup gate — a fast wrong
 answer is worthless — and both arms take the best of several runs so
 a single noisy sample on a busy CI machine cannot fail the gate. The
-recorded bench time is the fast arm (the path ``run_fleet`` takes by
-default).
+recorded bench time is the ``run_fleet`` arm.
+
+Run from the repository root with ``python -m pytest``, which puts the
+root on ``sys.path`` so ``tests.fleet_oracle`` imports.
 """
 
 import time
@@ -29,6 +31,7 @@ from repro.cellular.cell import CellCapacityConfig
 from repro.core.config import ScenarioConfig
 from repro.core.fingerprint import session_fingerprint
 from repro.core.fleet import FleetConfig, run_fleet
+from tests.fleet_oracle import run_reference_fleet
 
 #: Fixed shape: 64 members, 20 s, minimal media, no load balancing so
 #: occupancy concentrates (peak ~43 members on one cell).
@@ -61,12 +64,12 @@ def test_fleet_scale(benchmark, report):
     scalar_walls = []
     for _ in range(SCALAR_RUNS):
         start = time.perf_counter()  # repro-lint: ignore[RPL001]
-        scalar = run_fleet(FLEET, fast=False)
+        scalar = run_reference_fleet(FLEET)
         scalar_walls.append(time.perf_counter() - start)  # repro-lint: ignore[RPL001]
     scalar_wall = min(scalar_walls)
 
     fast = benchmark.pedantic(
-        lambda: run_fleet(FLEET, fast=True),
+        lambda: run_fleet(FLEET),
         rounds=FAST_ROUNDS,
         iterations=1,
         warmup_rounds=1,

@@ -289,11 +289,12 @@ class FleetTickState:
 class FleetTicker:
     """One event-loop callback driving every fleet member's tick.
 
-    The scalar fleet keeps N independent per-channel re-arms on the
-    loop heap — N ``schedule_at``/heap-pop pairs per tick for events
-    that all fire at the same anchored instant and run in member
-    order anyway. The ticker collapses them into one event per tick
-    that calls each member's ``_tick`` in session order.
+    An unplanned fleet (the test-side reference fleet) keeps N
+    independent per-channel re-arms on the loop heap — N
+    ``schedule_at``/heap-pop pairs per tick for events that all fire
+    at the same anchored instant and run in member order anyway. The
+    ticker collapses them into one event per tick that calls each
+    member's ``_tick`` in session order.
 
     Ordering is preserved where it matters: the last member's
     synchronous tick 0 arms the ticker (so the shared tick-1 event
@@ -319,37 +320,21 @@ class FleetTicker:
     """
 
     __slots__ = (
-        "_channels", "_plan_channels", "_plane", "_loop", "_state",
-        "_contention", "_pending", "_anchor", "_rows", "_cols", "hint_k",
-        "hint_topo", "hint_best", "hint_margin", "sums_k", "tick_serving",
-        "others_mw",
+        "_channels", "_loop", "state", "_contention", "_pending", "_anchor",
+        "_rows", "_cols", "hint_k", "hint_topo", "hint_best", "hint_margin",
+        "sums_k", "tick_serving", "others_mw",
     )
 
     def __init__(
-        self,
-        channels: Sequence[CellularChannel],
-        state: FleetTickState | None,
-        *,
-        plan_channels: Sequence[CellularChannel] | None = None,
-        plane=None,
+        self, channels: Sequence[CellularChannel], state: FleetTickState
     ) -> None:
         self._channels = list(channels)
-        #: Members whose rows back the hoisted planes — the whole
-        #: fleet unless trace-sampled members were excluded from
-        #: planning. Hint/interference precompute covers these only;
-        #: ``_tick`` is still driven for every member in session order.
-        self._plan_channels = (
-            self._channels if plan_channels is None else list(plan_channels)
-        )
-        #: Optional :class:`~repro.obs.metrics.FleetMetricsPlane` fed
-        #: once per tick, after every member's ``_tick``.
-        self._plane = plane
         self._loop = channels[0]._loop
-        self._state = state
+        self.state = state
         self._contention = channels[0]._contention
         self._pending = len(channels)
         self._anchor = 0.0
-        self._rows = np.arange(len(self._plan_channels))
+        self._rows = np.arange(len(channels))
         self._cols = np.arange(max(len(channels[0].layout) - 1, 0))
         self.hint_k = -1
         self.hint_topo = -1
@@ -369,60 +354,48 @@ class FleetTicker:
 
     def _fire(self) -> None:
         channels = self._channels
-        state = self._state
+        state = self.state
         contention = self._contention
         k = channels[0]._tick_index
-        if state is None:
-            # No planned members (every member trace-sampled): the
-            # ticker still drives the lockstep ticks and feeds the
-            # plane, but there are no hoisted planes to advance and
-            # nobody reads hints.
-            self.sums_k = -1
-            self.hint_k = -1
+        state.advance(k)
+        rows = self._rows
+        serving = np.fromiter(
+            (ch.engine.serving_cell for ch in channels),
+            dtype=np.int64,
+            count=len(channels),
+        )
+        # Fleet-wide neighbour-interference sums: drop each member's
+        # serving column with one fancy gather and reduce along the
+        # row. The reduction runs the same pairwise kernel over the
+        # same values in the same order as the per-member slice-based
+        # sum, so the results are value-identical (fingerprint-gated);
+        # a member that hands over mid-tick fails the serving-cell
+        # check in ``_tick`` and falls back to the per-member sum.
+        cols = self._cols
+        gathered = state.powered[
+            rows[:, None], cols + (cols >= serving[:, None])
+        ]
+        self.others_mw = gathered.sum(axis=1)
+        self.tick_serving = serving
+        self.sums_k = k
+        if contention._at_cap.size == 0:
+            # Fleet-wide A3 ranking: mask each member's serving cell
+            # and argmax once. Row-wise this is exactly the per-member
+            # ``filtered + offsets`` ranking (the serving score is the
+            # same two-operand add the scalar path performs), valid
+            # until someone attaches.
+            neighbours = state.f_matrix + contention.offsets()
+            scores = neighbours[rows, serving]
+            neighbours[rows, serving] = -np.inf
+            best = neighbours.argmax(axis=1)
+            self.hint_best = best
+            self.hint_margin = neighbours[rows, best] - scores
+            self.hint_topo = contention._topo_version
+            self.hint_k = k
         else:
-            state.advance(k)
-            rows = self._rows
-            plan_channels = self._plan_channels
-            serving = np.fromiter(
-                (ch.engine.serving_cell for ch in plan_channels),
-                dtype=np.int64,
-                count=len(plan_channels),
-            )
-            # Fleet-wide neighbour-interference sums: drop each
-            # member's serving column with one fancy gather and reduce
-            # along the row. The reduction runs the same pairwise
-            # kernel over the same values in the same order as the
-            # per-member slice-based sum, so the results are
-            # value-identical (fingerprint-gated); a member that hands
-            # over mid-tick fails the serving-cell check in ``_tick``
-            # and falls back to the per-member sum.
-            cols = self._cols
-            gathered = state.powered[
-                rows[:, None], cols + (cols >= serving[:, None])
-            ]
-            self.others_mw = gathered.sum(axis=1)
-            self.tick_serving = serving
-            self.sums_k = k
-            if contention is not None and contention._at_cap.size == 0:
-                # Fleet-wide A3 ranking: mask each member's serving
-                # cell and argmax once. Row-wise this is exactly the
-                # per-member ``filtered + offsets`` ranking (the
-                # serving score is the same two-operand add the scalar
-                # path performs), valid until someone attaches.
-                neighbours = state.f_matrix + contention.offsets()
-                scores = neighbours[rows, serving]
-                neighbours[rows, serving] = -np.inf
-                best = neighbours.argmax(axis=1)
-                self.hint_best = best
-                self.hint_margin = neighbours[rows, best] - scores
-                self.hint_topo = contention._topo_version
-                self.hint_k = k
-            else:
-                self.hint_k = -1
+            self.hint_k = -1
         for ch in channels:
             ch._tick()
-        if self._plane is not None:
-            self._plane.observe_channels(channels)
         self._loop.schedule_at(
             self._anchor + channels[0]._tick_index * MEASUREMENT_PERIOD,
             self._fire,
@@ -430,12 +403,8 @@ class FleetTicker:
 
 
 def install_fleet_plans(
-    channels: Sequence[CellularChannel],
-    duration: float,
-    *,
-    exclude: Sequence[int] = (),
-    plane=None,
-) -> FleetTicker | None:
+    channels: Sequence[CellularChannel], duration: float
+) -> None:
     """Precompute and install per-member tick plans for a fleet run.
 
     The same struct-of-arrays pass :func:`build_tick_plans` runs
@@ -445,10 +414,10 @@ def install_fleet_plans(
     trajectories, so the AR recursions stack over an
     ``(n_members, n_cells)`` state matrix and each member's streams
     refill with one block draw for the whole horizon. Each member then
-    ticks through its own event-loop callback as usual (full sessions
-    need the loop for pacing, GCC, handover outages) — but the ticks
-    share a :class:`FleetTickState`, so the L3 filter recursion and
-    the interference powers also advance once per tick for the whole
+    ticks from the shared :class:`FleetTicker` (full sessions need the
+    loop for pacing, GCC, handover outages) — and the ticks share a
+    :class:`FleetTickState`, so the L3 filter recursion and the
+    interference powers also advance once per tick for the whole
     fleet, and :meth:`CellularChannel._tick` reads precomputed rows
     instead of drawing per tick. The branchy per-member state (A3,
     HET, outliers, contention) stays on the exact scalar code path,
@@ -459,46 +428,20 @@ def install_fleet_plans(
     cover exactly the anchored ticks that horizon fires
     (:func:`probe_tick_times`), and a channel that ticks past its plan
     raises rather than falling back.
-
-    ``exclude`` lists member indices (``FleetConfig.trace_members``)
-    left on per-tick scalar draws: the shared ticker still fires their
-    ``_tick`` in session order — so cross-member contention mutation
-    order is unchanged — but they take the plan-``None`` branch at
-    every draw site, which is exactly the reference scalar code path a
-    diagnose-quality :class:`~repro.obs.recorder.Recorder` expects to
-    observe. ``plane`` attaches a
-    :class:`~repro.obs.metrics.FleetMetricsPlane` that the ticker
-    feeds once per tick. Returns the ticker (``None`` when nothing
-    was installed: no planned members and no plane).
     """
     for ch in channels:
         if ch._started:
             raise ValueError("fleet plans must be installed before start")
-    excluded = set(exclude)
-    planned = [ch for i, ch in enumerate(channels) if i not in excluded]
-    if not planned and plane is None:
-        return None
-    if planned:
-        times = probe_tick_times(duration)
-        plans, rsrp_planes = build_tick_plans(planned, times)
-        state = FleetTickState(
-            rsrp_planes, channels[0].engine.config.l3_filter_alpha
-        )
-    else:
-        plans, state = [], None
-    ticker = FleetTicker(channels, state, plan_channels=planned, plane=plane)
-    plan_iter = iter(plans)
-    row = 0
-    for i, ch in enumerate(channels):
-        if i in excluded:
-            ch.install_plan(None, ticker=ticker)
-            continue
-        ch.install_plan(next(plan_iter), state=state, row=row, ticker=ticker)
-        row += 1
+    plans, rsrp_planes = build_tick_plans(channels, probe_tick_times(duration))
+    ticker = FleetTicker(
+        channels,
+        FleetTickState(rsrp_planes, channels[0].engine.config.l3_filter_alpha),
+    )
+    for row, (ch, plan) in enumerate(zip(channels, plans)):
+        ch.install_plan(plan, row=row, ticker=ticker)
         # Outlier draws mix random() and uniform() on one stream; the
         # block-refilled wrapper serves both bit-identically.
         ch._outlier_rng = BatchedUniform(ch._outlier_rng)
-    return ticker
 
 
 def run_lockstep(

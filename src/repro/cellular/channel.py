@@ -296,14 +296,10 @@ class CellularChannel:
         #: :class:`repro.cellular.batch.TickPlan`); ``None`` means the
         #: per-tick draw path.
         self._plan = None
-        #: Shared :class:`repro.cellular.batch.FleetTickState` hoisting
-        #: the L3 filter and interference powers across a fleet's
-        #: members (``None`` outside fleet-fast runs), plus this
-        #: member's row in its stacked planes.
-        self._plan_state = None
-        self._plan_row = 0
-        #: Shared fleet tick driver (``None`` -> self re-arm).
+        #: Shared fleet tick driver of a planned channel (``None`` ->
+        #: self re-arm), plus this member's row in its stacked planes.
         self._fleet_ticker = None
+        self._plan_row = 0
         self.samples: list[CapacitySample] = []
         self.rssi_log: list[RssiReport] = []
         self.cells_seen: set[int] = set()
@@ -350,9 +346,7 @@ class CellularChannel:
         """Instantaneous downlink capacity in bits/s."""
         return self._downlink_bps
 
-    def install_plan(
-        self, plan, *, state=None, row: int = 0, ticker=None
-    ) -> None:
+    def install_plan(self, plan, *, row: int, ticker) -> None:
         """Install precomputed per-tick stochastic planes.
 
         ``plan`` is a :class:`repro.cellular.batch.TickPlan` covering
@@ -366,20 +360,19 @@ class CellularChannel:
         block refills already consumed the generators, so a scalar
         fallback could not be bit-identical).
 
-        ``state``/``row`` additionally enroll the channel in a shared
-        :class:`repro.cellular.batch.FleetTickState`: the L3 filter
-        recursion and the interference powers are then advanced once
-        per tick for the whole fleet and this member reads row ``row``
-        (see :func:`repro.cellular.batch.install_fleet_plans`).
-        ``ticker`` hands tick scheduling to a shared
+        ``ticker`` is the fleet's shared
         :class:`repro.cellular.batch.FleetTicker`: after the
-        synchronous tick 0 this channel stops re-arming itself and
-        the ticker drives every member with one loop event per tick.
+        synchronous tick 0 this channel stops re-arming itself and the
+        ticker drives every member with one loop event per tick. The
+        L3 filter recursion and the interference powers advance once
+        per tick for the whole fleet in the ticker's
+        :class:`repro.cellular.batch.FleetTickState`, and this member
+        reads row ``row`` of its stacked planes (see
+        :func:`repro.cellular.batch.install_fleet_plans`).
         """
         if self._started:
             raise RuntimeError("cannot install a plan on a started channel")
         self._plan = plan
-        self._plan_state = state
         self._plan_row = row
         self._fleet_ticker = ticker
 
@@ -434,7 +427,6 @@ class CellularChannel:
     def _tick(self) -> None:
         now = self._loop.now
         plan = self._plan
-        state = None
         if plan is None:
             det_row, loss_row, altitude = self._geometry_row(self._tick_index)
             shadow = self._shadowing.sample(now, altitude)
@@ -454,6 +446,17 @@ class CellularChannel:
                 + self._meas_rng.normal(0.0, noise_std, size=det_row.shape)
                 + frac * self.config.air_fastfade_std_db * self._fastfade
             )
+            if self._contention is None:
+                event = self.engine.measure(now, rsrp, altitude=altitude)
+            else:
+                event = self.engine.measure(
+                    now,
+                    rsrp,
+                    altitude=altitude,
+                    offsets=self._contention.offsets(),
+                    blocked=self._contention.blocked_cells(self._ue_id),
+                )
+            self._shadow = shadow
         else:
             # Planned tick: every stochastic plane was precomputed by
             # build_tick_plans with one block refill per stream —
@@ -472,87 +475,21 @@ class CellularChannel:
             self._shadow = plan.shadow_db[k]
             self._fastfade = plan.fastfade[k]
             self._fading_db = plan.fading[k]
-            state = self._plan_state
-            if state is not None:
-                # Fleet-fast: the L3 filter recursion and the
-                # interference powers advance once per tick for every
-                # member (one matrix op each); this member only reads
-                # its rows below.
-                state.advance(k)
-            else:
-                rsrp = plan.rsrp[k]
-        if self._contention is None:
-            event = self.engine.measure(now, rsrp, altitude=altitude)
-        elif state is not None:
-            ticker = self._fleet_ticker
-            if (
-                ticker is not None
-                and ticker.hint_k == self._tick_index
-                and ticker.hint_topo == self._contention._topo_version
-            ):
-                # The fleet-wide masked argmax from this tick's
-                # precompute is still valid (nobody attached since);
-                # skip the per-member ranking entirely.
-                event = self.engine.measure_prefiltered(
-                    now,
-                    state.f_matrix[self._plan_row],
-                    altitude=altitude,
-                    hint=(
-                        int(ticker.hint_best[self._plan_row]),
-                        float(ticker.hint_margin[self._plan_row]),
-                    ),
-                )
-            else:
-                event = self.engine.measure_prefiltered(
-                    now,
-                    state.f_matrix[self._plan_row],
-                    altitude=altitude,
-                    offsets=self._contention.offsets(),
-                    blocked=self._contention.blocked_cells(self._ue_id),
-                )
-        else:
-            event = self.engine.measure(
-                now,
-                rsrp,
-                altitude=altitude,
-                offsets=self._contention.offsets(),
-                blocked=self._contention.blocked_cells(self._ue_id),
-            )
-        if plan is None:
-            self._shadow = shadow
+            event = self._measure_planned(now, k, altitude)
         if event is not None:
             self._begin_outage(event.execution_time)
         self.cells_seen.add(self.engine.serving_cell)
         if plan is None:
             self._update_fading(altitude)
         self._update_outliers(now, altitude)
-        if state is None:
+        if plan is None:
             uplink, downlink, sinr = self._capacity(now, altitude, loss_row)
         else:
-            # Neighbour interference from the hoisted power matrix: a
-            # slice-based others-sum replacing np.delete + np.power per
-            # member (value-identical; same pattern as run_lockstep,
-            # guarded by the fleet fingerprint gates). The ticker
-            # precomputes the sums fleet-wide; a member whose serving
-            # cell moved this tick recomputes its own.
-            sc = self.engine.serving_cell
-            ticker = self._fleet_ticker
-            if (
-                ticker is not None
-                and ticker.sums_k == self._tick_index
-                and ticker.tick_serving[self._plan_row] == sc
-            ):
-                others_sum = float(ticker.others_mw[self._plan_row])
-            else:
-                prow = state.powered[self._plan_row]
-                others = np.empty(len(prow) - 1)
-                others[:sc] = prow[:sc]
-                others[sc:] = prow[sc + 1:]
-                others_sum = float(others.sum())
-            serving_mw = 10.0 ** (float(self.engine._filtered[sc]) / 10.0)
-            ratio = INTERFERENCE_LOAD * others_sum / max(serving_mw, 1e-30)
             uplink, downlink, sinr = self._capacity(
-                now, altitude, loss_row, interference_ratio=ratio
+                now,
+                altitude,
+                loss_row,
+                interference_ratio=self._planned_interference(k),
             )
         if self._contention is not None:
             uplink, downlink = self._contend(now, uplink, downlink)
@@ -601,6 +538,61 @@ class CellularChannel:
         self._loop.schedule_at(
             self._anchor + self._tick_index * MEASUREMENT_PERIOD, self._tick
         )
+
+    def _measure_planned(self, now: float, k: int, altitude: float):
+        """A3 step of a planned fleet member from the shared planes.
+
+        The L3 filter recursion advances once per tick for the whole
+        fleet (one matrix op); this member reads its row. When the
+        ticker's fleet-wide masked argmax for tick ``k`` is still
+        valid (nobody attached since), the per-member ranking is
+        skipped entirely.
+        """
+        ticker = self._fleet_ticker
+        state = ticker.state
+        state.advance(k)
+        filtered = state.f_matrix[self._plan_row]
+        contention = self._contention
+        if ticker.hint_k == k and ticker.hint_topo == contention._topo_version:
+            return self.engine.measure_prefiltered(
+                now,
+                filtered,
+                altitude=altitude,
+                hint=(
+                    int(ticker.hint_best[self._plan_row]),
+                    float(ticker.hint_margin[self._plan_row]),
+                ),
+            )
+        return self.engine.measure_prefiltered(
+            now,
+            filtered,
+            altitude=altitude,
+            offsets=contention.offsets(),
+            blocked=contention.blocked_cells(self._ue_id),
+        )
+
+    def _planned_interference(self, k: int) -> float:
+        """Neighbour-interference ratio of a planned fleet member.
+
+        Read from the hoisted power matrix: a slice-based others-sum
+        replacing np.delete + np.power per member (value-identical;
+        same pattern as run_lockstep, guarded by the fleet fingerprint
+        gates). The ticker precomputes the sums fleet-wide; a member
+        whose serving cell moved this tick recomputes its own.
+        """
+        sc = self.engine.serving_cell
+        ticker = self._fleet_ticker
+        row = self._plan_row
+        if ticker.sums_k == k and ticker.tick_serving[row] == sc:
+            others_sum = float(ticker.others_mw[row])
+        else:
+            prow = ticker.state.powered[row]
+            others = np.empty(len(prow) - 1)
+            others[:sc] = prow[:sc]
+            others[sc:] = prow[sc + 1:]
+            others_sum = float(others.sum())
+        serving_mw = 10.0 ** (float(self.engine._filtered[sc]) / 10.0)
+        return INTERFERENCE_LOAD * others_sum / max(serving_mw, 1e-30)
 
     def _begin_outage(self, het: float) -> None:
         if self.config.make_before_break:

@@ -680,8 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="profile an N-session shared-cell fleet run instead of a "
-        "single session (session target only; runs the vectorized "
-        "fleet fast path)",
+        "single session (session target only)",
     )
     profile_parser.add_argument(
         "--engine",

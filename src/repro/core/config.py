@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 
@@ -92,10 +92,12 @@ class ScenarioConfig:
             self.platform = Platform(self.platform)
         if isinstance(self.cc, str):
             self.cc = CcAlgorithm(self.cc)
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(
-                f"duration must be positive and finite: {self.duration}"
-            )
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive: {self.duration}")
         unknown = set(self.extra) - EXTRA_KEYS
         if unknown:
             raise ValueError(
@@ -123,3 +125,12 @@ class ScenarioConfig:
             f"{self.cc.value}-{self.environment.value}-"
             f"{self.platform.value}-{self.operator}-s{self.seed}"
         )
+
+
+#: Float fields of :class:`ScenarioConfig`, checked finite on
+#: construction (``static_bitrate`` may also be ``None``).
+_FLOAT_FIELDS = tuple(
+    spec.name
+    for spec in fields(ScenarioConfig)
+    if spec.type in ("float", "float | None")
+)

@@ -31,7 +31,6 @@ from repro.cellular.batch import install_fleet_plans
 from repro.cellular.cell import (
     CellCapacityConfig,
     CellContention,
-    ScalarCellContention,
     normalize_cell_map,
 )
 from repro.cellular.channel import MEASUREMENT_PERIOD
@@ -83,13 +82,11 @@ class FleetConfig:
         Shared per-cell PRB budget / admission / load-balancing knobs.
     trace_members:
         Member indices sampled for **full tracing**: each listed
-        member runs with its own :class:`~repro.obs.Recorder` on
-        per-tick scalar draws (the reference code path a diagnose
-        trace expects to observe), while the rest of the fleet stays
-        on the vectorized plan. Bit-identity is preserved — the
-        shared ticker still fires every member in session order —
-        and the sampled traces land in
-        ``result.extra["member_traces"]``.
+        member runs with its own :class:`~repro.obs.Recorder`. Sampled
+        members stay on the planned fleet engine like every other
+        member (every trace emission sits on code the planned and
+        unplanned ticks share), so sampling perturbs no packet, and
+        the sampled traces land in ``result.extra["member_traces"]``.
     """
 
     base: ScenarioConfig
@@ -104,8 +101,10 @@ class FleetConfig:
             raise ValueError("num_sessions must be >= 1")
         if self.seed_stride < 1:
             raise ValueError("seed_stride must be >= 1")
-        if self.spread_radius < 0.0:
-            raise ValueError("spread_radius must be >= 0")
+        if not (math.isfinite(self.spread_radius) and self.spread_radius >= 0.0):
+            raise ValueError(
+                f"spread_radius must be finite and >= 0: {self.spread_radius}"
+            )
         members = tuple(sorted(set(int(m) for m in self.trace_members)))
         for member in members:
             if not 0 <= member < self.num_sessions:
@@ -160,12 +159,23 @@ def run_fleet(
     *,
     recorder: NullRecorder | None = None,
     obs: "ObsLevel | str | bool | None" = None,
-    fast: bool = True,
 ) -> FleetResult:
     """Execute one fleet run and collect every session's dataset.
 
     All sessions share a single event loop, the base seed's cell
-    layout, and one :class:`CellContention`.
+    layout, and one :class:`CellContention`. Every member runs on
+    whole-horizon tick plans
+    (:func:`~repro.cellular.batch.install_fleet_plans` — one block RNG
+    refill per stream instead of per-tick draws, translated-trajectory
+    geometry shared through the base-position cache) driven by one
+    shared :class:`~repro.cellular.batch.FleetTicker`. The fingerprint
+    suite pins this engine packet-for-packet to a test-side reference
+    fleet (scalar contention, per-tick draws; ``tests/fleet_oracle.py``).
+    Ring members fly :class:`~repro.flight.trajectory.TranslatedTrajectory`
+    copies of the base route (the translation applies after
+    interpolation), and member 0 always flies the unmodified route, so
+    an N=1 fleet stays bit-identical to
+    :func:`repro.core.session.run_session`.
 
     Observability is tiered through ``obs`` (an
     :class:`~repro.obs.ObsLevel` or its string/bool spellings):
@@ -173,12 +183,12 @@ def run_fleet(
     * ``off`` — nothing recorded, zero overhead (the default).
     * ``metrics`` — the **fast-path tier**: sessions stay completely
       uninstrumented (packet logs bit-identical to ``off``) and a
-      :class:`~repro.obs.FleetMetricsPlane` accumulates per-member
-      goodput/PRB-share/SINR histograms and congestion counters from
-      the shared ticker's struct-of-arrays state, one vectorized
-      ingest per tick. The folded registry snapshot lands in
-      ``result.extra["metrics"]`` alongside per-cell occupancy gauges
-      and the ``obs_overhead`` self-accounting.
+      :class:`~repro.obs.FleetMetricsPlane` replays the members'
+      recorded capacity samples at collect time into per-member
+      goodput/PRB-share/SINR histograms and congestion counters, one
+      vectorized ingest per tick. The folded registry snapshot lands
+      in ``result.extra["metrics"]`` alongside per-cell occupancy
+      gauges and the ``obs_overhead`` self-accounting.
     * ``trace`` — the legacy full tier: one shared
       :class:`~repro.obs.Recorder` bound to the loop sees every
       session's spans, and the fleet-wide diagnosis lands in
@@ -187,32 +197,11 @@ def run_fleet(
     Passing a ``recorder`` explicitly keeps its historical meaning
     (the instance is shared by every session and wins over ``obs``).
     Independently, ``config.trace_members`` samples k members for
-    diagnose-quality tracing from inside a vectorized fleet: each
-    sampled member runs a private recorder on per-tick scalar draws
-    while the rest keep their plans (see
-    :func:`~repro.cellular.batch.install_fleet_plans`), and the
-    sampled traces land in ``result.extra["member_traces"]``.
-    ``trace_members`` cannot combine with the ``trace`` tier — the
-    shared recorder already covers every member.
-
-    ``fast`` selects the fleet-scale fast path (the default): the
-    vectorized struct-of-arrays :class:`CellContention` plus
-    whole-horizon tick plans shared across members
-    (:func:`~repro.cellular.batch.install_fleet_plans` — one block RNG
-    refill per stream instead of per-tick draws, translated-trajectory
-    geometry shared through the base-position cache). ``fast=False``
-    runs the reference path — the dict/loop
-    :class:`ScalarCellContention` and per-tick draws — which the
-    fingerprint suite pins packet-for-packet equal to the fast path
-    and ``benchmarks/test_fleet_scale.py`` uses as the speedup
-    baseline. The metrics plane ingests the identical per-tick rows
-    on both arms (live channel state vs. recorded samples), so even
-    the metrics snapshots are bit-identical across ``fast``. Ring
-    members fly :class:`~repro.flight.trajectory.TranslatedTrajectory`
-    copies of the base route in either mode (the translation applies
-    after interpolation), and member 0 always flies the unmodified
-    route, so an N=1 fleet stays bit-identical to
-    :func:`repro.core.session.run_session` on both arms.
+    diagnose-quality tracing: each sampled member runs a private
+    recorder, and the sampled traces land in
+    ``result.extra["member_traces"]``. ``trace_members`` cannot
+    combine with the ``trace`` tier — the shared recorder already
+    covers every member.
     """
     level = ObsLevel.coerce(obs)
     if recorder is not None:
@@ -222,7 +211,7 @@ def run_fleet(
         shared = Recorder(measure_overhead=True)
     else:
         # metrics tier: sessions stay uninstrumented — the plane
-        # carries the per-member metrics off the SoA tick state.
+        # replays the per-member metrics from the recorded samples.
         shared = NULL_RECORDER
     if config.trace_members and level is ObsLevel.TRACE:
         raise ValueError(
@@ -242,8 +231,7 @@ def run_fleet(
     base = config.base
     profile = get_profile(base.operator, base.environment.value)
     layout = profile.build_layout(RngStreams(base.seed).derive("layout"))
-    contention_cls = CellContention if fast else ScalarCellContention
-    contention = contention_cls(len(layout), config.cell_capacity)
+    contention = CellContention(len(layout), config.cell_capacity)
     plane = (
         FleetMetricsPlane(
             config.num_sessions,
@@ -293,28 +281,15 @@ def run_fleet(
         )
 
     channels = [handle.channel for handle in handles]
-    if fast:
-        install_fleet_plans(
-            channels,
-            base.duration,
-            exclude=config.trace_members,
-            plane=plane,
-        )
+    install_fleet_plans(channels, base.duration)
     for handle in handles:
         handle.start()
-    if fast and plane is not None:
-        # Tick 0 ran synchronously inside start(); the ticker only
-        # fires from tick 1, so the plane ingests the first tick here.
-        plane.observe_channels(channels)
     loop.run_until(base.duration)
     for handle in handles:
         handle.stop()
     for handle in handles:
         handle.finish(loop.now)
-    if not fast and plane is not None:
-        # Scalar arm: replay the recorded samples through the same
-        # per-tick ingest op, so the snapshot is bit-identical to the
-        # live arm's.
+    if plane is not None:
         plane.observe_samples([ch.samples for ch in channels])
 
     sessions = [handle.collect() for handle in handles]

@@ -221,11 +221,11 @@ def run_fleet_density(
     out over worker processes exactly like seeded sessions do, repeat
     runs are served from the result cache, and an interrupted sweep
     resumes from the fleets that completed. Fleet units never join a
-    seed-sweep batch: each fleet already runs the vectorized fast path
-    (SoA contention + member-stacked tick plans) across its members.
-    ``obs="metrics"`` keeps that fast path while adding the vectorized
-    fleet metrics plane; ``obs="trace"`` (or ``True``) runs every
-    fleet under a shared recorder (scalar-scheduled) and the
+    seed-sweep batch: each fleet already runs its one engine (SoA
+    contention + member-stacked tick plans) across all its members.
+    ``obs="metrics"`` adds the fleet metrics plane, which replays the
+    members' capacity samples at collect time; ``obs="trace"`` (or
+    ``True``) runs every fleet under a shared recorder and the
     per-density points additionally carry the fraction of latency
     violations the diagnosis layer pins on ``cell_congestion``.
     """

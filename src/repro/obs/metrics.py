@@ -381,18 +381,10 @@ class FleetMetricsPlane:
     ``Recorder.observe`` calls (the whole point of the fast path is
     that no per-member Python work scales with N), so this plane keeps
     the per-member instruments as ``(N,)``/``(N, buckets)`` numpy
-    arrays and ingests one row set per fleet tick:
-
-    * :meth:`observe_channels` — the vectorized arm: the
-      :class:`~repro.cellular.batch.FleetTicker` calls it once per
-      tick, after all member ``_tick``s, reading the live per-channel
-      state (``_uplink_bps`` / ``_share_ul`` / ``_sinr_db``).
-    * :meth:`observe_samples` — the scalar arm: replays the identical
-      per-tick ingestion from the members' recorded
-      :class:`~repro.cellular.channel.CapacitySample` lists at collect
-      time, so a ``fast=False`` (or batch-fallback) run produces a
-      **bit-identical** snapshot — the float accumulation order per
-      member is the same sequential per-tick add on both arms.
+    arrays. Its one ingest path, :meth:`observe_samples`, replays the
+    members' recorded :class:`~repro.cellular.channel.CapacitySample`
+    lists at collect time, one ``(3, N)`` row set per fleet tick, so
+    the simulation itself carries no metrics work at all.
 
     :meth:`snapshot` renders the arrays in the exact record format of
     :meth:`MetricsRegistry.snapshot` (histogram edges from
@@ -459,25 +451,13 @@ class FleetMetricsPlane:
         self._congested += rows[1] < self.congestion_share
         self.ticks += 1
 
-    def observe_channels(self, channels) -> None:
-        """Ingest the live post-tick state of every member channel."""
-        timer = self._timer
-        start = timer()
-        rows = self._scratch
-        for i, channel in enumerate(channels):
-            rows[0, i] = channel._uplink_bps
-            rows[1, i] = channel._share_ul
-            rows[2, i] = channel._sinr_db
-        self._ingest(rows)
-        self.overhead_s += timer() - start
-
     def observe_samples(self, member_samples) -> None:
         """Replay recorded per-member sample lists, tick by tick.
 
         ``member_samples`` is one sample sequence per member, all the
-        same length (fleet members tick in lockstep). Each tick goes
-        through the same :meth:`_ingest` op as the live arm so float
-        totals accumulate in the identical order.
+        same length (fleet members tick in lockstep). Ticks fold in
+        one at a time, in order, so float totals accumulate exactly as
+        a tick-by-tick ingest would.
         """
         if not member_samples:
             return

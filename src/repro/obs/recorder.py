@@ -37,12 +37,14 @@ class ObsLevel(enum.Enum):
     * ``METRICS`` — counters/gauges/histograms only (snapshotable and
       mergeable across workers); trace emission is a no-op. Metrics-
       level sessions stay batchable in the campaign planner, and
-      metrics-level fleets stay on the vectorized tick path (fed by
-      :class:`~repro.obs.metrics.FleetMetricsPlane`).
+      metrics-level fleets record through
+      :class:`~repro.obs.metrics.FleetMetricsPlane`, which replays the
+      members' capacity samples at collect time.
     * ``TRACE`` — the full sim-time trace plus metrics. Trace-level
       units are excluded from struct-of-arrays batches (the trace is
-      part of the payload) and fleet members sampled via
-      ``FleetConfig.trace_members`` run with per-tick scalar draws.
+      part of the payload); fleet members sampled via
+      ``FleetConfig.trace_members`` stay on the planned fleet engine
+      with every other member.
     """
 
     OFF = "off"

@@ -21,8 +21,8 @@ The planner is deliberately conservative about what may batch:
   histograms without a trace, so the vectorized execution is
   unperturbed;
 * everything else — scalar. Ping probes have nothing to share, and a
-  fleet is already vectorized across its members internally (SoA
-  contention plus member-stacked tick plans, see
+  fleet is already vectorized across all of its members internally
+  (SoA contention plus member-stacked tick plans, see
   :func:`repro.cellular.batch.install_fleet_plans`); the scalar path
   caches and resumes each fleet unit on its own.
 

@@ -13,17 +13,19 @@ the suite pins:
   executor) == per-seed scalar ``run_session``;
 * an N=1 fleet == the plain session;
 * a traced (``Recorder``) session == an untraced one;
-* the vectorized fleet fast path (struct-of-arrays contention +
-  member-stacked tick plans + the shared fleet ticker) == the scalar
-  reference contention, across pinned fleet configs that exercise
+* the fleet engine (struct-of-arrays contention + member-stacked tick
+  plans + the shared fleet ticker) == the test-side reference fleet
+  (:func:`tests.fleet_oracle.run_reference_fleet`: scalar contention,
+  per-tick draws), across pinned fleet configs that exercise
   handovers under load balancing, admission caps, and ground routes;
-* a metrics-level fleet (``obs="metrics"``, the vectorized
-  :class:`FleetMetricsPlane` riding the fleet ticker) == the dark
-  fleet, and its plane snapshot is itself bit-identical between the
-  fast and scalar arms;
-* a sample-traced fleet (``trace_members``) == the dark fleet, its
-  member traces invariant across arms, and for N=1 identical to a
-  plain traced session.
+* a metrics-level fleet (``obs="metrics"``, the
+  :class:`FleetMetricsPlane` replaying the members' samples) == the
+  dark fleet, and its plane snapshot is itself bit-identical between
+  the engine and the reference fleet;
+* a sample-traced fleet (``trace_members``) == the dark fleet, with
+  an unchanged metrics plane, its member traces invariant across the
+  engine and the reference fleet, and for N=1 identical to a plain
+  traced session.
 
 Comparisons are exact float equality through
 :mod:`repro.core.fingerprint` — no tolerances. Any drift here means a
@@ -42,6 +44,7 @@ from repro.experiments.probes import channel_probe_batch, channel_probe_seed
 from repro.obs import Recorder
 from repro.runner import WORK_SESSION, execute_batch, plan_batches
 from repro.runner.work import make_unit
+from tests.fleet_oracle import run_reference_fleet
 
 #: The seven pinned configs (duration/seed applied per test).
 PINNED = {
@@ -135,8 +138,8 @@ def test_fleet_fast_bit_identical_to_scalar(name):
         seed=3, duration=SESSION_DURATION
     )
     config = FleetConfig(**spec)
-    fast = run_fleet(config, fast=True)
-    scalar = run_fleet(config, fast=False)
+    fast = run_fleet(config)
+    scalar = run_reference_fleet(config)
     assert [session_fingerprint(s) for s in fast.sessions] == [
         session_fingerprint(s) for s in scalar.sessions
     ]
@@ -192,8 +195,8 @@ def test_metrics_plane_bit_identical_across_arms(name):
     reordering of the per-tick ingest arithmetic shows up here.
     """
     config = _fleet_config(name)
-    fast = run_fleet(config, obs="metrics", fast=True)
-    scalar = run_fleet(config, obs="metrics", fast=False)
+    fast = run_fleet(config, obs="metrics")
+    scalar = run_reference_fleet(config, obs="metrics")
     fast_plane = [
         r for r in fast.extra["metrics"]
         if r["name"].startswith("fleet/")
@@ -224,12 +227,38 @@ def test_sampled_trace_fleet_bit_identical_to_off():
     assert traced.extra["trace_members"] == [1, 3]
 
 
+def test_sampled_trace_leaves_metrics_plane_unchanged():
+    """trace_members must not change a metrics-level fleet's plane."""
+    config = _fleet_config("gcc-urban-air-n4")
+    sampled = FleetConfig(
+        **{
+            **FLEET_PINNED["gcc-urban-air-n4"],
+            "base": config.base,
+            "trace_members": (1, 3),
+        }
+    )
+    plain = run_fleet(config, obs="metrics")
+    traced = run_fleet(sampled, obs="metrics")
+    assert [session_fingerprint(s) for s in traced.sessions] == [
+        session_fingerprint(s) for s in plain.sessions
+    ]
+    plain_plane = [
+        r for r in plain.extra["metrics"] if r["name"].startswith("fleet/")
+    ]
+    traced_plane = [
+        r for r in traced.extra["metrics"] if r["name"].startswith("fleet/")
+    ]
+    assert traced_plane == plain_plane
+    assert plain_plane
+    assert traced.extra["trace_members"] == [1, 3]
+
+
 def test_sampled_member_trace_invariant_across_arms():
     """A sampled member's full trace must not depend on the arm.
 
-    The traced member runs the plan-None scalar path in both arms; if
-    the fast arm's ticker changed its draw order the recorded trace
-    (sim-time stamps included) would drift.
+    The traced member is planned in the engine and draws per tick in
+    the reference fleet; if the plans or the ticker changed its draw
+    order the recorded trace (sim-time stamps included) would drift.
     """
     config = FleetConfig(
         **{
@@ -238,8 +267,8 @@ def test_sampled_member_trace_invariant_across_arms():
             "trace_members": (2,),
         }
     )
-    fast = run_fleet(config, fast=True)
-    scalar = run_fleet(config, fast=False)
+    fast = run_fleet(config)
+    scalar = run_reference_fleet(config)
     assert fast.extra["member_traces"]["2"]["trace"] == (
         scalar.extra["member_traces"]["2"]["trace"]
     )

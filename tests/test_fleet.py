@@ -9,7 +9,6 @@ import pytest
 from repro.cellular.cell import (
     CellCapacityConfig,
     CellContention,
-    _member_share,
     allocate_prbs,
     allocate_prbs_array,
     fleet_demand_bps,
@@ -95,21 +94,6 @@ class TestAllocatePrbs:
             scalar = allocate_prbs(requests.tolist(), budget)
             assert array.tolist() == scalar
 
-    def test_member_share_matches_full_allocation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            n = int(rng.integers(2, 40))
-            budget = int(rng.integers(1, 150))
-            requests = rng.integers(0, 6, size=n).astype(np.int64)
-            total = int(requests.sum())
-            if total == 0:
-                assert _member_share(requests, 0, budget, total) == 0.0
-                continue
-            full = allocate_prbs(requests.tolist(), budget)
-            for index in range(n):
-                share = _member_share(requests, index, budget, total)
-                assert share == full[index] / budget
-
 
 # ----------------------------------------------------------------------
 # fleet ring placement
@@ -142,6 +126,14 @@ class TestRingOffset:
 class TestCellContention:
     def _contention(self, **kwargs):
         return CellContention(4, CellCapacityConfig(**kwargs))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["lb_step_db", "lb_max_db", "congestion_share"]
+    )
+    def test_non_finite_capacity_knob_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CellCapacityConfig(**{field: value})
 
     def test_sole_occupant_share_is_exactly_one(self):
         contention = self._contention()
@@ -371,6 +363,11 @@ class TestRunFleet:
             FleetConfig(base=BASE, seed_stride=0)
         with pytest.raises(ValueError):
             FleetConfig(base=BASE, spread_radius=-1.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_spread_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="spread_radius must be finite"):
+            FleetConfig(base=BASE, spread_radius=radius)
 
     def test_instrumented_fleet_reports_congestion_cause(self):
         recorder = Recorder()

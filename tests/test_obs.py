@@ -609,16 +609,9 @@ class TestRunnerPoolLifecycle:
 # ----------------------------------------------------------------------
 # vectorized fleet metrics plane
 # ----------------------------------------------------------------------
-class FakeChannel:
-    """Post-tick per-member channel state the plane reads."""
-
-    def __init__(self, bps: float, share: float, sinr: float) -> None:
-        self._uplink_bps = bps
-        self._share_ul = share
-        self._sinr_db = sinr
-
-
 class FakeSample:
+    """The recorded per-tick channel state the plane replays."""
+
     def __init__(self, bps: float, share: float, sinr: float) -> None:
         self.uplink_bps = bps
         self.uplink_share = share
@@ -632,10 +625,17 @@ TICKS = [
 ]
 
 
-def _live_plane() -> FleetMetricsPlane:
+def _member_samples(ticks) -> list[list[FakeSample]]:
+    """Per-member sample lists from per-tick rows of member values."""
+    return [
+        [FakeSample(*tick[member]) for tick in ticks]
+        for member in range(len(ticks[0]))
+    ]
+
+
+def _replayed_plane() -> FleetMetricsPlane:
     plane = FleetMetricsPlane(2)
-    for tick in TICKS:
-        plane.observe_channels([FakeChannel(*member) for member in tick])
+    plane.observe_samples(_member_samples(TICKS))
     return plane
 
 
@@ -645,7 +645,7 @@ class TestFleetMetricsPlane:
             FleetMetricsPlane(0)
 
     def test_snapshot_counts_and_congestion(self):
-        plane = _live_plane()
+        plane = _replayed_plane()
         snapshot = plane.snapshot()
         by_key = {
             (record["name"], record["labels"]["member"]): record
@@ -667,21 +667,33 @@ class TestFleetMetricsPlane:
     def test_share_boundary_is_strictly_below(self):
         # share == congestion_share is NOT congested (Channel uses <).
         plane = FleetMetricsPlane(1, congestion_share=0.75)
-        plane.observe_channels([FakeChannel(1e6, 0.75, 10.0)])
-        plane.observe_channels([FakeChannel(1e6, 0.7499, 10.0)])
+        plane.observe_samples(
+            _member_samples([[(1e6, 0.75, 10.0)], [(1e6, 0.7499, 10.0)]])
+        )
         (record,) = [
             r for r in plane.snapshot() if r["name"] == "fleet/congestion_time"
         ]
         assert record["value"] == pytest.approx(0.1)
 
-    def test_scalar_replay_is_bit_identical_to_live(self):
-        live = _live_plane()
-        replay = FleetMetricsPlane(2)
-        replay.observe_samples([
-            [FakeSample(*tick[member]) for tick in TICKS]
-            for member in range(2)
-        ])
-        assert replay.snapshot() == live.snapshot()
+    def test_replay_totals_accumulate_tick_by_tick(self):
+        # Totals must be the sequential per-member float sum, the order
+        # a per-tick ingest produces, not a pairwise reduction.
+        by_key = {
+            (record["name"], record["labels"]["member"]): record
+            for record in _replayed_plane().snapshot()
+        }
+        for spec, name in enumerate(
+            ("fleet/uplink_bps", "fleet/uplink_share", "fleet/sinr_db")
+        ):
+            for member in range(2):
+                values = [tick[member][spec] for tick in TICKS]
+                total = 0.0
+                for value in values:
+                    total += value
+                record = by_key[(name, member)]
+                assert record["total"] == total
+                assert record["min"] == min(values)
+                assert record["max"] == max(values)
 
     def test_replay_rejects_ragged_sample_lists(self):
         plane = FleetMetricsPlane(2)
@@ -695,7 +707,7 @@ class TestFleetMetricsPlane:
         # Values landing exactly on an edge must fall in the same
         # bucket the scalar Histogram puts them in (bisect_left).
         plane = FleetMetricsPlane(1)
-        plane.observe_channels([FakeChannel(1e6, 0.5, 0.0)])
+        plane.observe_samples(_member_samples([[(1e6, 0.5, 0.0)]]))
         registry = MetricsRegistry()
         plane.fold_into(registry)
         from repro.obs import RATE_BUCKETS
@@ -708,10 +720,11 @@ class TestFleetMetricsPlane:
     def test_fold_into_merges_order_independently(self):
         # Two planes (e.g. two fleets of a campaign) must merge into
         # one registry identically whatever the completion order.
-        a = _live_plane()
+        a = _replayed_plane()
         b = FleetMetricsPlane(2)
-        b.observe_channels([FakeChannel(2e6, 0.4, -2.0),
-                            FakeChannel(8e6, 0.9, 14.0)])
+        b.observe_samples(
+            _member_samples([[(2e6, 0.4, -2.0), (8e6, 0.9, 14.0)]])
+        )
         ab = MetricsRegistry()
         a.fold_into(ab)
         b.fold_into(ab)
@@ -722,7 +735,7 @@ class TestFleetMetricsPlane:
         assert ab.get("fleet/ticks", member=0).value == 4.0
 
     def test_ingestion_time_lands_in_overhead(self):
-        plane = _live_plane()
+        plane = _replayed_plane()
         assert plane.overhead_s > 0.0
 
 

@@ -40,6 +40,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(duration=duration)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "fps", "static_bitrate", "min_bitrate", "max_bitrate",
+            "jitter_buffer_latency", "base_owd", "owd_jitter_std",
+            "loss_rate", "loss_mean_burst",
+        ],
+    )
+    def test_non_finite_float_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioConfig(**{field: value})
+
     def test_unknown_extra_key_rejected(self):
         with pytest.raises(ValueError, match="make_before_brake"):
             ScenarioConfig(extra={"make_before_brake": True})
