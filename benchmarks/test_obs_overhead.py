@@ -13,10 +13,13 @@ gates that claim two ways:
 
 Bit-identity is asserted *before* either perf gate — the metrics tier
 is only admissible at all because it provably records without
-perturbing a single packet. The arms are *interleaved* (dark, metered,
-dark, metered, ...) and each takes the best of its runs, so a load
-spike on a busy CI machine taxes both arms alike instead of silently
-inflating whichever arm it happened to land on. The shape
+perturbing a single packet. The arms are *interleaved* and each takes
+the best of its runs, so a load spike on a busy CI machine taxes both
+arms alike instead of silently inflating whichever arm it happened to
+land on. The order alternates (dark first in even rounds, metered
+first in odd ones) and garbage is collected before each arm, so
+neither arm always pays for the other's allocations or always runs
+on a cold cache. The shape
 follows ``test_fleet_scale``: load balancing disabled so members pile
 onto the strongest cells (dense occupancy, the regime where per-member
 costs hurt most) and a constant-trickle encoder so the bench measures
@@ -29,6 +32,7 @@ milliseconds) to dominate the wall clock would measure fixed costs,
 not the per-tick tax the gate is about.
 """
 
+import gc
 import os
 import time
 
@@ -60,8 +64,9 @@ FLEET = FleetConfig(
     cell_capacity=CellCapacityConfig(max_sessions=64, lb_step_db=0.0),
 )
 
-#: Interleaved rounds: each runs one dark and one metered flight.
-ROUNDS = 4
+#: Interleaved rounds: each runs one dark and one metered flight, in
+#: alternating order.
+ROUNDS = 30
 
 #: The tentpole's hard budget: metrics-level fleet observability may
 #: cost at most 10% — both by self-accounting and end to end.
@@ -75,14 +80,20 @@ def test_obs_overhead(benchmark, report):
     dark_walls: list[float] = []
     metered_walls: list[float] = []
 
-    def _round():
+    def _timed(walls, **kwargs):
+        gc.collect()
         start = time.perf_counter()  # repro-lint: ignore[RPL001]
-        dark = run_fleet(FLEET)
-        mid = time.perf_counter()  # repro-lint: ignore[RPL001]
-        metered = run_fleet(FLEET, obs="metrics")
-        end = time.perf_counter()  # repro-lint: ignore[RPL001]
-        dark_walls.append(mid - start)
-        metered_walls.append(end - mid)
+        fleet = run_fleet(FLEET, **kwargs)
+        walls.append(time.perf_counter() - start)  # repro-lint: ignore[RPL001]
+        return fleet
+
+    def _round():
+        if len(dark_walls) % 2 == 0:
+            dark = _timed(dark_walls)
+            metered = _timed(metered_walls, obs="metrics")
+        else:
+            metered = _timed(metered_walls, obs="metrics")
+            dark = _timed(dark_walls)
         return dark, metered
 
     # ``benchmark`` times the whole (dark + metered) round for the
@@ -114,9 +125,9 @@ def test_obs_overhead(benchmark, report):
                 f"(N={FLEET.num_sessions}, {BASE.duration:.0f} s, "
                 "static CC, shared cells)",
                 f"  dark fleet        : {dark_wall:7.3f} s"
-                f" (best of {ROUNDS}, interleaved)",
+                f" (best of {ROUNDS}, alternating)",
                 f"  metrics-level     : {metered_wall:7.3f} s"
-                f" (best of {ROUNDS}, interleaved)",
+                f" (best of {ROUNDS}, alternating)",
                 f"  wall ratio        : {ratio:7.3f}x"
                 f" (gate: <= {MAX_WALL_RATIO:.2f}x)",
                 f"  self-accounted    : {share * 100:6.2f} %"

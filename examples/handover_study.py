@@ -74,7 +74,7 @@ def main() -> None:
                 environment="urban",
                 platform="air",
                 cc="static",
-                extra={"a3": A3Config(hysteresis_db=hysteresis, time_to_trigger=ttt)},
+                a3=A3Config(hysteresis_db=hysteresis, time_to_trigger=ttt),
             ),
             settings,
         )

@@ -772,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="check repo invariants (determinism, units, trace schema, "
-        "RNG streams)",
+        help="check repo invariants (determinism, units, RNG streams, "
+        "wall-clock taint)",
         description="Whole-program invariant linter; exits 1 on findings, "
         "3 on internal analysis errors. Suppress a deliberate violation "
         "with '# repro-lint: ignore[RULE]  # reason'.",

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from dataclasses import InitVar, dataclass, fields, replace
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover — cellular builds on core.config
+    from repro.cellular.handover import A3Config, HetSampler
 
 
 class Environment(enum.Enum):
@@ -47,19 +50,21 @@ STATIC_BITRATE = {
 MIN_BITRATE = 2e6
 MAX_BITRATE = 25e6
 
-#: The ablation overrides ``ScenarioConfig.extra`` may carry (read by
-#: :func:`repro.core.session.build_session`).
-EXTRA_KEYS = frozenset({"a3", "het", "make_before_break", "ramp_up_speed"})
-
 
 @dataclass
 class ScenarioConfig:
     """Full description of one simulated measurement run.
 
     Attributes mirror the paper's setup; see DESIGN.md for the
-    mapping. ``extra`` carries ablation overrides (the keys in
-    :data:`EXTRA_KEYS`, e.g. A3 parameters) without widening this
-    signature; any other key is rejected.
+    mapping. The last four fields are ablation overrides that default
+    to the paper's setup: ``a3`` and ``het`` replace the channel's A3
+    parameters and handover-execution-time sampler,
+    ``make_before_break`` switches handovers to DAPS, and
+    ``ramp_up_speed`` (bps per second) replaces SCReAM's ramp-up
+    speed. A misspelt override is a ``TypeError`` at construction.
+    ``extra`` is the older spelling of the same four overrides as a
+    dict (``extra={"make_before_break": True}``); it is applied to the
+    fields and not kept.
     """
 
     environment: Environment = Environment.URBAN
@@ -83,9 +88,21 @@ class ScenarioConfig:
     downlink_buffer_bytes: int = 3_000_000
     loss_rate: float = 0.00065  # paper: PER 0.06-0.07 %
     loss_mean_burst: float = 3.0  # drops arrive consecutively
-    extra: dict[str, Any] = field(default_factory=dict)
+    a3: A3Config | None = None
+    het: HetSampler | None = None
+    make_before_break: bool = False
+    ramp_up_speed: float | None = None
+    extra: InitVar[dict[str, Any] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, extra: dict[str, Any] | None) -> None:
+        if extra:
+            for name, value in extra.items():
+                if name not in _OVERRIDE_FIELDS:
+                    raise TypeError(
+                        f"unknown override {name!r}; expected one of "
+                        f"{', '.join(_OVERRIDE_FIELDS)}"
+                    )
+                setattr(self, name, value)
         if isinstance(self.environment, str):
             self.environment = Environment(self.environment)
         if isinstance(self.platform, str):
@@ -98,12 +115,6 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite: {value}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive: {self.duration}")
-        unknown = set(self.extra) - EXTRA_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown extra key(s) {sorted(unknown)}; expected a "
-                f"subset of {sorted(EXTRA_KEYS)}"
-            )
         if self.operator.upper() not in ("P1", "P2"):
             raise ValueError(f"operator must be P1 or P2, got {self.operator}")
         self.operator = self.operator.upper()
@@ -127,8 +138,12 @@ class ScenarioConfig:
         )
 
 
+#: The ablation overrides ``extra`` may set.
+_OVERRIDE_FIELDS = ("a3", "het", "make_before_break", "ramp_up_speed")
+
 #: Float fields of :class:`ScenarioConfig`, checked finite on
-#: construction (``static_bitrate`` may also be ``None``).
+#: construction (``static_bitrate`` and ``ramp_up_speed`` may also be
+#: ``None``).
 _FLOAT_FIELDS = tuple(
     spec.name
     for spec in fields(ScenarioConfig)

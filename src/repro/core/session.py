@@ -139,13 +139,11 @@ def build_channel_config(config: ScenarioConfig) -> ChannelConfig:
             fading_std_air_db=1.8,
             fading_corr_time=0.6,
         )
-    a3 = config.extra.get("a3")
-    if a3 is not None:
-        channel_config.a3 = a3
-    het = config.extra.get("het")
-    if het is not None:
-        channel_config.het = het
-    if config.extra.get("make_before_break"):
+    if config.a3 is not None:
+        channel_config.a3 = config.a3
+    if config.het is not None:
+        channel_config.het = config.het
+    if config.make_before_break:
         channel_config.make_before_break = True
     return channel_config
 
@@ -305,8 +303,8 @@ def build_session(
 
     controller = build_controller(config)
     controller.obs = obs
-    if config.cc is CcAlgorithm.SCREAM and "ramp_up_speed" in config.extra:
-        controller.rate.ramp_up_speed = config.extra["ramp_up_speed"]
+    if config.cc is CcAlgorithm.SCREAM and config.ramp_up_speed is not None:
+        controller.rate.ramp_up_speed = config.ramp_up_speed
 
     receiver_holder: list[VideoReceiver] = []
 

@@ -247,11 +247,7 @@ def a3_ablation(
                 cc="static",
                 seed=seed,
                 duration=settings.duration,
-                extra={
-                    "a3": A3Config(
-                        hysteresis_db=hysteresis, time_to_trigger=ttt
-                    )
-                },
+                a3=A3Config(hysteresis_db=hysteresis, time_to_trigger=ttt),
             )
             result = run_session(config)
             handovers += len(result.handovers)

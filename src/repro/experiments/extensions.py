@@ -74,7 +74,7 @@ def daps_experiment(settings: ExperimentSettings) -> DapsExperiment:
                 cc="static",
                 seed=seed,
                 duration=settings.duration,
-                extra={"make_before_break": make_before_break},
+                make_before_break=make_before_break,
             )
             result = run_session(config)
             delays.extend(one_way_delays(result.packet_log))

@@ -13,8 +13,8 @@ checks:
 * **event-loop hygiene** — components with a teardown method never
   discard :class:`~repro.net.simulator.EventHandle` results, so a
   stopped component leaves the loop clean (RPL003);
-* **picklability** — work handed to the multiprocessing campaign
-  runner is module-level, never a closure or lambda (RPL004).
+* **hot-path slots** — per-packet dataclasses carry no ``__dict__``
+  (RPL006).
 
 On top of the per-file rules, a whole-program engine
 (:mod:`repro.lint.project`) builds a symbol table and import/call
@@ -28,15 +28,18 @@ graph over the full tree and runs cross-module dataflow rules
 * **wall-clock taint** — ``time.time()`` values never reach sim-time
   sinks (RPL010).
 
-Trace record names need no rule: emitters and consumers share the
-constants of :mod:`repro.obs.names`, so a misspelt name fails at the
-site, and :class:`~repro.obs.recorder.Recorder` rejects any name
-outside :data:`repro.obs.names.TRACE_NAMES`.
+Two invariants need no rule because a boundary enforces them. Trace
+record names: emitters and consumers share the constants of
+:mod:`repro.obs.names`, so a misspelt name fails at the site, and
+:class:`~repro.obs.recorder.Recorder` rejects any name outside
+:data:`repro.obs.names.TRACE_NAMES`. Picklability of campaign work:
+:class:`~repro.runner.work.WorkUnit` rejects any param that is not
+plain data, so no lambda or closure reaches the process pool.
 
-Run it as ``python -m repro.lint`` or via the ``repro lint`` CLI
-subcommand (``--format json|sarif``, ``--changed``, ``--baseline
-write|check``). Suppress a deliberate violation with a same-line
-pragma::
+Every run parses the whole scope once, prints text and writes nothing
+to disk. Run it as ``python -m repro.lint`` or via the ``repro lint``
+CLI subcommand (``--select``, ``--list-rules``, ``--max-seconds``).
+Suppress a deliberate violation with a same-line pragma::
 
     start = time.time()  # repro-lint: ignore[RPL001]
 
@@ -49,25 +52,17 @@ call expression.
 from __future__ import annotations
 
 from repro.lint.findings import Finding, PragmaIndex
-from repro.lint.output import Baseline, render_json, render_sarif, render_text
-from repro.lint.project import FactsCache, ProjectIndex, build_project
+from repro.lint.project import ProjectIndex, extract_facts
 from repro.lint.rules import ALL_RULES, Rule
-from repro.lint.runner import lint_file, lint_paths, lint_project, lint_source
+from repro.lint.runner import lint_project, lint_source
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "FactsCache",
     "Finding",
     "PragmaIndex",
     "ProjectIndex",
     "Rule",
-    "build_project",
-    "lint_file",
-    "lint_paths",
+    "extract_facts",
     "lint_project",
     "lint_source",
-    "render_json",
-    "render_sarif",
-    "render_text",
 ]

@@ -43,24 +43,13 @@ from typing import Any, Iterator
 from repro.lint.findings import Finding
 from repro.lint.project import ProjectIndex, scope_to_key
 
-#: Rule id -> (title, one-line description) for --list-rules and SARIF.
-CROSS_RULE_INFO: dict[str, tuple[str, str]] = {
-    "RPL007": (
-        "unit-dimension inference",
-        "call/assignment/arithmetic flows must agree on inferred "
-        "physical units (_s/_ms/_bps/_bytes suffixes, units helpers)",
-    ),
-    "RPL009": (
-        "RNG stream aliasing",
-        "one component per RngStreams label: no duplicate derives, no "
-        "shared generator objects, no import-time stream capture",
-    ),
-    "RPL010": (
-        "sim-time/wall-time taint",
-        "wall-clock values must not reach event-loop scheduling, trace "
-        "timestamps or metrics",
-    ),
+#: Rule id -> title for ``--list-rules``.
+CROSS_RULE_TITLES: dict[str, str] = {
+    "RPL007": "unit-dimension inference",
+    "RPL009": "RNG stream aliasing",
+    "RPL010": "sim-time/wall-time taint",
 }
+
 
 def CrossFinding(
     path: str, line: int, end_line: int, rule_id: str, message: str
@@ -93,7 +82,7 @@ def _pretty(unit: str) -> str:
 # ----------------------------------------------------------------------
 # RPL007 — unit-dimension inference
 # ----------------------------------------------------------------------
-def check_units(index: ProjectIndex) -> Iterator[CrossFinding]:
+def check_units(index: ProjectIndex) -> Iterator[Finding]:
     """Yield every cross-module unit-dimension mismatch."""
     from repro.lint.project import unit_of
 
@@ -245,7 +234,7 @@ def _propagated_derives(
     return labels
 
 
-def check_rng_streams(index: ProjectIndex) -> Iterator[CrossFinding]:
+def check_rng_streams(index: ProjectIndex) -> Iterator[Finding]:
     """Yield every RNG stream-discipline violation."""
     for path, facts in index.files.items():
         for scope, table in facts["rng"].items():
@@ -315,7 +304,7 @@ def check_rng_streams(index: ProjectIndex) -> Iterator[CrossFinding]:
 # ----------------------------------------------------------------------
 # RPL010 — sim-time/wall-time taint
 # ----------------------------------------------------------------------
-def check_wall_taint(index: ProjectIndex) -> Iterator[CrossFinding]:
+def check_wall_taint(index: ProjectIndex) -> Iterator[Finding]:
     """Yield every wall-clock-into-sim-time flow."""
     wall_fns = index.wall_returns()
     for path, facts in index.files.items():
@@ -335,20 +324,9 @@ def check_wall_taint(index: ProjectIndex) -> Iterator[CrossFinding]:
 
 
 #: All cross-module checks in catalogue order.
-CROSS_CHECKS = (
-    ("RPL007", check_units),
-    ("RPL009", check_rng_streams),
-    ("RPL010", check_wall_taint),
-)
+CROSS_CHECKS = (check_units, check_rng_streams, check_wall_taint)
 
 
-def run_cross_rules(
-    index: ProjectIndex, rule_ids: set[str] | None = None
-) -> list[CrossFinding]:
-    """Run the selected cross-module rules over the index."""
-    findings: list[CrossFinding] = []
-    for rule_id, check in CROSS_CHECKS:
-        if rule_ids is not None and rule_id not in rule_ids:
-            continue
-        findings.extend(check(index))
-    return findings
+def run_cross_rules(index: ProjectIndex) -> list[Finding]:
+    """Run every cross-module rule over the index."""
+    return [finding for check in CROSS_CHECKS for finding in check(index)]

@@ -87,38 +87,19 @@ class PragmaIndex:
         previous = self._ignored.get(line, frozenset())
         self._ignored[line] = previous | ignored
 
-    def is_ignored(self, line: int, rule_id: str) -> bool:
-        """Whether ``rule_id`` findings on ``line`` are suppressed."""
-        ignored = self._ignored.get(line)
-        if ignored is None:
-            return False
-        return "*" in ignored or rule_id.upper() in ignored
+    def suppresses(self, finding: Finding) -> bool:
+        """Whether a pragma silences ``finding``.
 
-    def to_payload(self) -> dict[str, object]:
-        """JSON-able snapshot (stored in the analysis cache)."""
-        return {
-            "skip_file": self.skip_file,
-            "ignored": {
-                str(line): sorted(rules)
-                for line, rules in self._ignored.items()
-            },
-        }
-
-
-def range_ignored(
-    payload: dict[str, object], line: int, end_line: int, rule_id: str
-) -> bool:
-    """Whether a pragma anywhere on ``line``..``end_line`` suppresses.
-
-    Cross-module findings anchor whole (possibly multi-line) call
-    expressions, so an ``ignore[...]`` comment on *any* line of the
-    call — typically the closing-paren line where black puts trailing
-    comments — counts.
-    """
-    ignored = payload.get("ignored", {})
-    rule = rule_id.upper()
-    for candidate in range(line, end_line + 1):
-        rules = ignored.get(str(candidate))  # type: ignore[union-attr]
-        if rules and ("*" in rules or rule in rules):
+        Cross-module findings anchor whole (possibly multi-line) call
+        expressions, so an ``ignore[...]`` comment on *any* line of
+        ``line``..``end_line`` counts — typically the closing-paren
+        line where black puts trailing comments.
+        """
+        if self.skip_file:
             return True
-    return False
+        rule = finding.rule_id.upper()
+        for line in range(finding.line, finding.end_line + 1):
+            ignored = self._ignored.get(line)
+            if ignored is not None and ("*" in ignored or rule in ignored):
+                return True
+        return False

@@ -1,19 +1,18 @@
 """Whole-program analysis engine for :mod:`repro.lint`.
 
-The per-file rules (RPL001-006) see one AST at a time; the dataflow
-rules (RPL007, RPL009, RPL010) need to know what the *other* side of a
-call looks like — the unit suffix of a parameter defined two packages
-away, which RNG stream labels a callee derives from the factory it was
-handed.
+The per-file rules (RPL001-003, RPL005, RPL006) see one AST at a
+time; the dataflow rules (RPL007, RPL009, RPL010) need to know what
+the *other* side of a call looks like — the unit suffix of a
+parameter defined two packages away, which RNG stream labels a callee
+derives from the factory it was handed.
 
 This module builds that project-wide view in two phases:
 
-1. **Extraction** (:func:`extract_facts`): one AST walk per file
-   produces a JSON-able *facts* dict — module name, import map,
-   function/class signatures with unit-suffix hints, call sites whose
-   arguments carry inferable units, RNG stream flows and wall-clock
-   taint seeds. Facts are content-hash cached (:class:`FactsCache`),
-   so a warm re-run re-parses only the files whose bytes changed.
+1. **Extraction** (:func:`extract_facts`): one walk over each file's
+   AST (the same tree the per-file rules visit) produces a plain-dict
+   *facts* record — module name, import map, function/class
+   signatures with unit-suffix hints, call sites whose arguments carry
+   inferable units, RNG stream flows and wall-clock taint seeds.
 
 2. **Indexing** (:class:`ProjectIndex`): facts from every file are
    folded into a symbol table (global key -> signature) and an
@@ -66,17 +65,11 @@ literal.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.lint.rules import _CLOCK_CALLS, _suffix_unit, dotted_name
-
-#: Bump to invalidate every cached facts record (schema or extraction
-#: logic change).
-ENGINE_VERSION = 2
 
 #: Prefixes of global keys that can resolve inside the project.
 PROJECT_PREFIXES = ("repro.", "tools.", "examples.", "benchmarks.")
@@ -137,14 +130,6 @@ def module_name_for(path: str | Path, root: str | Path | None = None) -> str:
     if parts[-1] == "__init__":
         parts = parts[:-1] or [path.parent.name]
     return ".".join(parts)
-
-
-def content_hash(source: str) -> str:
-    """Cache key for one file's content under the current engine."""
-    digest = hashlib.sha256()
-    digest.update(f"v{ENGINE_VERSION}:".encode("ascii"))
-    digest.update(source.encode("utf-8"))
-    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -582,13 +567,8 @@ class _FactExtractor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def extract_facts(source: str, path: str, module: str) -> dict[str, Any]:
-    """Extract the cross-module facts of one file.
-
-    Raises :class:`SyntaxError` for unparseable sources — the caller
-    turns that into an RPL000 finding exactly like the per-file path.
-    """
-    tree = ast.parse(source, filename=path)
+def extract_facts(tree: ast.Module, module: str) -> dict[str, Any]:
+    """Extract the cross-module facts of one parsed file."""
     extractor = _FactExtractor(module)
     extractor.visit(tree)
     return {
@@ -601,69 +581,6 @@ def extract_facts(source: str, path: str, module: str) -> dict[str, Any]:
         "rng": extractor.rng_scopes,
         "taint": extractor.taint,
     }
-
-
-# ----------------------------------------------------------------------
-# cache
-# ----------------------------------------------------------------------
-class FactsCache:
-    """Content-hash cache of per-file analysis records.
-
-    One JSON file maps source path -> ``{"sha": ..., "record": ...}``,
-    where the record holds whatever the caller computed per file (the
-    runner stores facts + per-file findings + pragma lines). A record
-    is reused only when the stored hash matches the current content
-    hash (which folds in :data:`ENGINE_VERSION`), so both file edits
-    and engine upgrades invalidate naturally.
-    """
-
-    def __init__(self, cache_dir: str | Path = ".repro-cache") -> None:
-        self.path = Path(cache_dir) / "lint" / "facts.json"
-        self._records: dict[str, dict[str, Any]] = {}
-        self._loaded_hashes: dict[str, str] = {}
-        self.hits = 0
-        self.misses = 0
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-            if data.get("engine") == ENGINE_VERSION:
-                self._records = data.get("files", {})
-        except (OSError, ValueError):
-            self._records = {}
-        self._loaded_hashes = {
-            key: record.get("sha", "") for key, record in self._records.items()
-        }
-
-    def get(self, path: str, sha: str) -> dict[str, Any] | None:
-        """Cached record for ``path`` at content hash ``sha``."""
-        record = self._records.get(path)
-        if record is not None and record.get("sha") == sha:
-            self.hits += 1
-            return record["record"]
-        self.misses += 1
-        return None
-
-    def put(self, path: str, sha: str, record: dict[str, Any]) -> None:
-        """Store a freshly computed per-file record."""
-        self._records[path] = {"sha": sha, "record": record}
-
-    def save(self, linted_paths: Iterable[str] | None = None) -> None:
-        """Persist the cache (pruned to the linted file set)."""
-        if linted_paths is not None:
-            keep = set(linted_paths)
-            self._records = {
-                key: record
-                for key, record in self._records.items()
-                if key in keep
-            }
-        if {
-            key: record.get("sha", "") for key, record in self._records.items()
-        } == self._loaded_hashes:
-            return  # nothing changed; skip the write
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"engine": ENGINE_VERSION, "files": self._records}
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(self.path)
 
 
 # ----------------------------------------------------------------------
@@ -806,34 +723,3 @@ def scope_to_key(scope: str) -> str:
     """Global key for a scope string (``mod:Class.fn`` -> ``mod.Class.fn``)."""
     return scope.replace(":", ".", 1)
 
-
-def build_project(
-    sources: dict[str, str],
-    *,
-    root: str | Path | None = None,
-    cache: FactsCache | None = None,
-) -> tuple[ProjectIndex, list[tuple[str, SyntaxError]]]:
-    """Build the project index over ``{path: source}``.
-
-    Returns the index plus the files that failed to parse (reported as
-    RPL000 by the runner). With a cache, unchanged files skip the AST
-    walk entirely.
-    """
-    files: dict[str, dict[str, Any]] = {}
-    errors: list[tuple[str, SyntaxError]] = []
-    for path, source in sources.items():
-        sha = content_hash(source)
-        record = cache.get(path, sha) if cache is not None else None
-        facts = record.get("facts") if record is not None else None
-        if facts is None:
-            try:
-                facts = extract_facts(
-                    source, path, module_name_for(path, root)
-                )
-            except SyntaxError as exc:
-                errors.append((path, exc))
-                continue
-            if cache is not None:
-                cache.put(path, sha, {"facts": facts})
-        files[path] = facts
-    return ProjectIndex(files), errors

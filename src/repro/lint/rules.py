@@ -1,4 +1,4 @@
-"""The invariant rules (RPL001–RPL006).
+"""The per-file invariant rules (RPL001–RPL003, RPL005, RPL006).
 
 Each rule is an :class:`ast.NodeVisitor` instantiated per file. Rules
 collect :class:`~repro.lint.findings.Finding` objects; suppression via
@@ -28,12 +28,6 @@ RPL003 *event-handle leaks*
     A discarded ``call_at``/``call_later`` result inside a class that
     also defines ``stop``/``flush``/``close``: the teardown method
     cannot cancel what was never kept — the JitterBuffer bug class.
-
-RPL004 *picklability*
-    Lambdas or nested functions handed to multiprocessing-style
-    dispatch (``pool.submit``/``imap``/``apply_async``/…,
-    ``Process(target=...)`` or campaign ``make_unit`` params): they
-    break under ``multiprocessing`` — the ping-probe bug class.
 
 RPL005 *seed-path hygiene*
     ``default_rng(<literal>)`` / ``RandomState(<literal>)`` with a
@@ -367,90 +361,6 @@ class EventHandleRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPL004 — picklability
-# ----------------------------------------------------------------------
-
-_POOL_DISPATCH_ATTRS = {
-    "submit",
-    "map",
-    "map_async",
-    "imap",
-    "imap_unordered",
-    "apply",
-    "apply_async",
-    "starmap",
-    "starmap_async",
-}
-_DISPATCH_NAMES = {"make_unit"}
-_PROCESS_NAMES = {"Process", "Thread"}
-
-
-class PicklabilityRule(Rule):
-    """RPL004: only module-level callables cross the process boundary."""
-
-    rule_id = "RPL004"
-    title = "picklability"
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self._function_depth = 0
-        self._nested_defs: list[set[str]] = []
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._enter_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._enter_function(node)
-
-    def _enter_function(self, node: ast.AST) -> None:
-        if self._function_depth > 0:
-            self._nested_defs[-1].add(node.name)  # type: ignore[attr-defined]
-        self._function_depth += 1
-        self._nested_defs.append(set())
-        self.generic_visit(node)
-        self._nested_defs.pop()
-        self._function_depth -= 1
-
-    def _is_nested_function(self, name: str) -> bool:
-        return any(name in scope for scope in self._nested_defs)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._is_dispatch(node):
-            values = list(node.args) + [kw.value for kw in node.keywords]
-            for value in values:
-                self._check_payload(value)
-        self.generic_visit(node)
-
-    def _is_dispatch(self, node: ast.Call) -> bool:
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in _POOL_DISPATCH_ATTRS:
-                return True
-        name = dotted_name(node.func)
-        if name is None:
-            return False
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf in _DISPATCH_NAMES:
-            return True
-        if leaf in _PROCESS_NAMES:
-            return any(kw.arg == "target" for kw in node.keywords)
-        return False
-
-    def _check_payload(self, value: ast.AST) -> None:
-        if isinstance(value, ast.Lambda):
-            self.report(
-                value,
-                "lambda passed to a multiprocessing dispatch call; lambdas "
-                "cannot be pickled — use a module-level function",
-            )
-        elif isinstance(value, ast.Name) and self._is_nested_function(value.id):
-            self.report(
-                value,
-                f"'{value.id}' is defined in a nested scope; closures cannot "
-                "be pickled — hoist it to module level",
-            )
-
-
-# ----------------------------------------------------------------------
 # RPL005 — seed-path hygiene
 # ----------------------------------------------------------------------
 
@@ -549,7 +459,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NondeterminismRule,
     UnitSafetyRule,
     EventHandleRule,
-    PicklabilityRule,
     SeedHygieneRule,
     HotPathSlotsRule,
 )

@@ -1,34 +1,27 @@
 """File walking, rule orchestration and the lint CLI.
 
-Two entry layers live here:
+:func:`lint_project` is the one analysis path: it parses every file
+once, runs the per-file rules (RPL001-003, RPL005, RPL006) and extracts
+cross-module facts from the same AST, builds the
+:class:`~repro.lint.project.ProjectIndex` and runs RPL007/009/010 on
+top. :func:`lint_source` runs the per-file rules over one buffer.
 
-* the per-file API (:func:`lint_source` / :func:`lint_file` /
-  :func:`lint_paths`) — one AST, rules RPL001-006, used by tests and
-  by editors that lint a buffer in isolation;
-* the project API (:func:`lint_project`) — parses every file once,
-  runs the per-file rules *and* extracts cross-module facts from the
-  same AST, builds the :class:`~repro.lint.project.ProjectIndex` and
-  runs RPL007/009/010 on top. Per-file results (findings + facts + pragma
-  lines) are content-hash cached, so a warm re-run only re-analyzes
-  changed files; the cross rules always re-run (they are cheap — the
-  expensive part is the per-file AST work).
-
-Exit codes of the CLI: ``0`` clean (or no new findings in baseline
-check mode), ``1`` findings, ``2`` usage error, ``3`` internal
-analysis error or exceeded ``--max-seconds`` budget.
+Exit codes of the CLI: ``0`` clean, ``1`` findings, ``2`` usage error,
+``3`` internal analysis error or exceeded ``--max-seconds`` budget.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import subprocess
 import time
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.lint.findings import Finding, PragmaIndex, range_ignored
-from repro.lint.rules import ALL_RULES, Rule
+from repro.lint.crossrules import CROSS_RULE_TITLES, run_cross_rules
+from repro.lint.findings import Finding, PragmaIndex
+from repro.lint.project import ProjectIndex, extract_facts, module_name_for
+from repro.lint.rules import ALL_RULES
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".repro-cache", ".hypothesis"}
@@ -36,23 +29,14 @@ _SKIP_DIRS = {"__pycache__", ".git", ".repro-cache", ".hypothesis"}
 #: Default lint roots (the whole-program analysis scope).
 DEFAULT_PATHS = ("src", "tools", "examples", "benchmarks")
 
-#: Default baseline file (checked in; expected to stay empty).
-DEFAULT_BASELINE = "lint-baseline.json"
-
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Sequence[type[Rule]] | None = None,
-) -> list[Finding]:
-    """Lint one source string; returns pragma-filtered findings."""
-    if rules is None:
-        rules = ALL_RULES
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Lint one source string with the per-file rules."""
     pragmas = PragmaIndex(source)
     if pragmas.skip_file:
         return []
@@ -60,7 +44,7 @@ def lint_source(
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [_syntax_finding(path, exc)]
-    return sorted(_file_findings(tree, path, pragmas, rules))
+    return sorted(_file_findings(tree, path, pragmas))
 
 
 def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
@@ -74,32 +58,19 @@ def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
 
 
 def _file_findings(
-    tree: ast.AST,
-    path: str,
-    pragmas: PragmaIndex,
-    rules: Sequence[type[Rule]],
+    tree: ast.AST, path: str, pragmas: PragmaIndex
 ) -> list[Finding]:
     findings: list[Finding] = []
-    for rule_cls in rules:
+    for rule_cls in ALL_RULES:
         if not rule_cls.applies_to(path):
             continue
         rule = rule_cls(path)
         rule.visit(tree)
         findings.extend(
-            finding
-            for finding in rule.findings
-            if not pragmas.is_ignored(finding.line, finding.rule_id)
+            finding for finding in rule.findings
+            if not pragmas.suppresses(finding)
         )
     return findings
-
-
-def lint_file(
-    path: str | Path, rules: Sequence[type[Rule]] | None = None
-) -> list[Finding]:
-    """Lint one file on disk."""
-    path = Path(path)
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, str(path), rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterable[Path]:
@@ -117,79 +88,22 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterable[Path]:
                     yield Path(dirpath) / filename
 
 
-def lint_paths(
-    paths: Iterable[str | Path], rules: Sequence[type[Rule]] | None = None
-) -> list[Finding]:
-    """Lint every Python file under ``paths`` (per-file rules only)."""
-    findings: list[Finding] = []
-    for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path, rules))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# project mode
-# ----------------------------------------------------------------------
-def _analyze_one(
-    source: str, path: str, module: str
-) -> dict[str, Any]:
-    """Per-file record: findings + cross-module facts + pragma lines.
-
-    The AST is parsed exactly once and shared between the per-file
-    rules and the fact extractor. ``skip-file`` sources keep their
-    facts (the cross-module analysis must stay sound — a skipped file
-    still *defines* callee signatures and *derives* RNG labels) but
-    contribute no findings of their own.
-    """
-    from repro.lint.output import _finding_dict
-    from repro.lint.project import extract_facts
-
-    pragmas = PragmaIndex(source)
-    record: dict[str, Any] = {
-        "pragmas": pragmas.to_payload(),
-        "findings": [],
-        "facts": None,
-    }
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        record["findings"] = [_finding_dict(_syntax_finding(path, exc))]
-        return record
-    if not pragmas.skip_file:
-        record["findings"] = [
-            _finding_dict(finding)
-            for finding in _file_findings(tree, path, pragmas, ALL_RULES)
-        ]
-    record["facts"] = extract_facts(source, path, module)
-    return record
-
-
 def lint_project(
     paths: Iterable[str | Path] | None = None,
     *,
     sources: dict[str, str] | None = None,
     select: set[str] | None = None,
-    cache: "Any | None" = None,
     root: str | Path | None = None,
-) -> tuple[list[Finding], dict[str, Any]]:
+) -> list[Finding]:
     """Whole-program lint: per-file rules plus RPL007/009/010.
 
     Either ``paths`` (walked on disk) or ``sources`` (``{path:
     source}``, used by tests to lint synthetic projects) must be
-    given. ``select`` filters *reported* rule ids only — the analysis
-    always runs everything, so cached records stay select-independent.
-
-    Returns ``(findings, summary)`` where the summary carries file and
-    cache-hit counts for the CLI's closing line.
+    given. ``select`` filters the *reported* rule ids; the analysis
+    always runs every rule. ``skip-file`` sources keep their facts —
+    a skipped file still *defines* callee signatures and *derives* RNG
+    labels — but report no findings of their own.
     """
-    from repro.lint.crossrules import run_cross_rules
-    from repro.lint.output import finding_from_dict
-    from repro.lint.project import (
-        ProjectIndex,
-        content_hash,
-        module_name_for,
-    )
-
     if sources is None:
         if paths is None:
             raise ValueError("either paths or sources is required")
@@ -199,90 +113,45 @@ def lint_project(
         }
 
     findings: list[Finding] = []
-    facts_by_path: dict[str, dict[str, Any]] = {}
-    pragmas_by_path: dict[str, dict[str, Any]] = {}
+    pragmas: dict[str, PragmaIndex] = {}
+    facts: dict[str, dict[str, Any]] = {}
     for path, source in sources.items():
-        sha = content_hash(source)
-        record = cache.get(path, sha) if cache is not None else None
-        if record is None or "pragmas" not in record:
-            record = _analyze_one(source, path, module_name_for(path, root))
-            if cache is not None:
-                cache.put(path, sha, record)
-        findings.extend(
-            finding_from_dict(payload) for payload in record["findings"]
-        )
-        pragmas_by_path[path] = record["pragmas"]
-        if record["facts"] is not None:
-            facts_by_path[path] = record["facts"]
-
-    index = ProjectIndex(facts_by_path)
-    for finding in run_cross_rules(index):
-        payload = pragmas_by_path.get(finding.path)
-        if payload is not None and (
-            payload.get("skip_file")
-            or range_ignored(
-                payload, finding.line, finding.end_line, finding.rule_id
-            )
-        ):
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            findings.append(_syntax_finding(path, exc))
             continue
-        findings.append(finding)
+        pragmas[path] = PragmaIndex(source)
+        if not pragmas[path].skip_file:
+            findings.extend(_file_findings(tree, path, pragmas[path]))
+        facts[path] = extract_facts(tree, module_name_for(path, root))
 
+    findings.extend(
+        finding for finding in run_cross_rules(ProjectIndex(facts))
+        if not pragmas[finding.path].suppresses(finding)
+    )
     if select is not None:
         findings = [f for f in findings if f.rule_id in select]
-    findings.sort()
-    summary: dict[str, Any] = {"files": len(sources)}
-    if cache is not None:
-        summary["cache_hits"] = cache.hits
-        summary["cache_misses"] = cache.misses
-    return findings, summary
+    return sorted(findings)
 
 
-def changed_files(base: str = "HEAD") -> set[str] | None:
-    """Paths differing from ``base`` (tracked diffs + untracked files).
-
-    Returns ``None`` when git is unavailable or the tree is not a
-    repository — the caller then falls back to linting everything.
-    """
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base],
-            capture_output=True, text=True, check=True, timeout=30,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True, timeout=30,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    changed = set(diff.stdout.split()) | set(untracked.stdout.split())
-    return {path for path in changed if path}
-
-
-def rule_catalogue() -> list[tuple[str, str, str]]:
-    """``(rule_id, title, description)`` rows for every rule."""
-    from repro.lint.crossrules import CROSS_RULE_INFO
-
-    rows = [
-        (rule_cls.rule_id, rule_cls.title, (rule_cls.__doc__ or "").strip())
-        for rule_cls in ALL_RULES
-    ]
-    rows.extend(
-        (rule_id, title, description)
-        for rule_id, (title, description) in sorted(CROSS_RULE_INFO.items())
-    )
+def rule_catalogue() -> list[tuple[str, str]]:
+    """``(rule_id, title)`` rows for every rule."""
+    rows = [(rule_cls.rule_id, rule_cls.title) for rule_cls in ALL_RULES]
+    rows.extend(sorted(CROSS_RULE_TITLES.items()))
     return rows
 
 
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def add_lint_arguments(parser: "Any") -> None:
+def add_lint_arguments(parser: Any) -> None:
     """Register the lint options (shared with ``repro lint``)."""
     parser.add_argument(
         "paths",
         nargs="*",
         default=list(DEFAULT_PATHS),
-        help="files or directories to lint "
+        help="files or directories to report on "
         f"(default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
@@ -296,40 +165,6 @@ def add_lint_arguments(parser: "Any") -> None:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report findings only in files differing from HEAD "
-        "(analysis still covers the whole project)",
-    )
-    parser.add_argument(
-        "--baseline",
-        choices=("write", "check"),
-        default=None,
-        help="'write' records current findings as accepted; 'check' "
-        "fails only on findings absent from the baseline",
-    )
-    parser.add_argument(
-        "--baseline-file",
-        default=DEFAULT_BASELINE,
-        help=f"baseline path (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file analysis cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="analysis cache directory (default: .repro-cache)",
-    )
-    parser.add_argument(
         "--max-seconds",
         type=float,
         default=None,
@@ -338,22 +173,18 @@ def add_lint_arguments(parser: "Any") -> None:
     )
 
 
-def run_with_args(args: "Any", parser: "Any") -> int:
+def run_with_args(args: Any, parser: Any) -> int:
     """Execute a parsed lint invocation (shared with ``repro lint``)."""
-    from repro.lint.output import Baseline, render_json, render_sarif, render_text
-    from repro.lint.project import FactsCache
-
     started = time.perf_counter()  # repro-lint: ignore[RPL001]  # CLI wall-clock budget, not sim time
     if args.list_rules:
-        for rule_id, title, _description in rule_catalogue():
+        for rule_id, title in rule_catalogue():
             print(f"{rule_id}  {title}")
         return EXIT_CLEAN
 
     select: set[str] | None = None
     if args.select is not None:
         select = {name.strip().upper() for name in args.select.split(",")}
-        known = {rule_id for rule_id, _t, _d in rule_catalogue()}
-        unknown = select - known
+        unknown = select - {rule_id for rule_id, _title in rule_catalogue()}
         if unknown:
             parser.error(f"unknown rule id(s): {', '.join(sorted(unknown))}")
 
@@ -361,7 +192,6 @@ def run_with_args(args: "Any", parser: "Any") -> int:
     if missing:
         parser.error(f"no such path(s): {', '.join(missing)}")
 
-    cache = None if args.no_cache else FactsCache(args.cache_dir)
     try:
         # Cross-module rules are only sound over the whole program: a
         # partial project would miss every out-of-scope callee and RNG
@@ -373,47 +203,18 @@ def run_with_args(args: "Any", parser: "Any") -> int:
             for p in DEFAULT_PATHS
             if p not in args.paths and Path(p).exists()
         ]
-        sources = {
-            str(file_path): file_path.read_text(encoding="utf-8")
-            for file_path in iter_python_files(scope)
-        }
-        findings, summary = lint_project(
-            sources=sources, select=select, cache=cache
-        )
-        if cache is not None:
-            cache.save(sources)
+        findings = lint_project(scope, select=select)
     except Exception as exc:  # noqa: BLE001 — the exit-3 contract
         print(f"repro.lint: internal error: {exc!r}")
         return EXIT_INTERNAL
 
-    if requested != set(sources):
-        findings = [f for f in findings if f.path in requested]
-        summary["files"] = len(requested)
-        summary["analyzed"] = len(sources)
-
-    if args.changed:
-        changed = changed_files()
-        if changed is not None:
-            findings = [f for f in findings if f.path in changed]
-            summary["changed_only"] = True
-
-    if args.baseline == "write":
-        Baseline.from_findings(findings).save(args.baseline_file)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline_file}"
-        )
-        return EXIT_CLEAN
-    if args.baseline == "check":
-        findings = Baseline.load(args.baseline_file).new_findings(findings)
-
-    if args.format == "json":
-        print(render_json(findings, summary))
-    elif args.format == "sarif":
-        print(render_sarif(findings, rule_catalogue()))
+    findings = [f for f in findings if f.path in requested]
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        print(f"{len(findings)} finding(s) in {len(requested)} file(s)")
     else:
-        text = render_text(findings, summary)
-        if text:
-            print(text)
+        print(f"checked {len(requested)} file(s): no findings")
 
     elapsed = time.perf_counter() - started  # repro-lint: ignore[RPL001]  # CLI wall-clock budget, not sim time
     if args.max_seconds is not None and elapsed > args.max_seconds:

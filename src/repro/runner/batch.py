@@ -101,7 +101,7 @@ def batch_key(unit: WorkUnit) -> str | None:
     config = dict(material["config"])
     config.pop("seed", None)
     material["config"] = config
-    return json.dumps(material, sort_keys=True, default=repr)
+    return json.dumps(material, sort_keys=True)
 
 
 def plan_batches(

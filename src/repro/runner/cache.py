@@ -27,7 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover — avoid a runtime import cycle
 #: Bump when ScenarioConfig fields or result dataclasses change shape.
 #: v2: fleet ring members translate trajectories post-interpolation
 #: (TranslatedTrajectory), which moves N>=2 fleet results by an ulp.
-CACHE_SCHEMA_VERSION = 2
+#: v3: the ``extra`` dict became the typed override fields ``a3``,
+#: ``het``, ``make_before_break`` and ``ramp_up_speed``.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -47,7 +49,6 @@ class ResultCache:
         material = json.dumps(
             {"schema": CACHE_SCHEMA_VERSION, "unit": unit.fingerprint()},
             sort_keys=True,
-            default=repr,
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 

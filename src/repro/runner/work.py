@@ -29,6 +29,9 @@ WORK_FLEET = "fleet"
 
 _KINDS = (WORK_SESSION, WORK_CHANNEL_PROBE, WORK_PING_PROBE, WORK_FLEET)
 
+#: Value types a work-unit param (or a member of a tuple param) may have.
+_PLAIN = (type(None), bool, int, float, str)
+
 
 @dataclass(frozen=True)
 class WorkUnit:
@@ -38,12 +41,16 @@ class WorkUnit:
     ----------
     kind:
         One of :data:`WORK_SESSION`, :data:`WORK_CHANNEL_PROBE`,
-        :data:`WORK_PING_PROBE`.
+        :data:`WORK_PING_PROBE`, :data:`WORK_FLEET`.
     config:
         Fully resolved scenario (seed and duration applied).
     params:
         Kind-specific keyword arguments as a sorted tuple of
-        ``(name, value)`` pairs, e.g. ``(("rate_hz", 20.0),)``.
+        ``(name, value)`` pairs, e.g. ``(("rate_hz", 20.0),)``. Every
+        value must be plain data — ``None``, ``bool``, ``int``,
+        ``float``, ``str`` or a tuple of these — because params cross
+        the process pool and enter the cache key as JSON. A lambda or
+        closure is rejected here, before it can reach a worker.
     """
 
     kind: str
@@ -53,6 +60,13 @@ class WorkUnit:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown work kind {self.kind!r}")
+        for name, value in self.params:
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(item, _PLAIN) for item in items):
+                raise TypeError(
+                    f"work-unit param {name}={value!r} is not plain data "
+                    "(None/bool/int/float/str or a tuple of these)"
+                )
 
     def fingerprint(self) -> dict[str, Any]:
         """JSON-able canonical description (the cache-key material)."""
@@ -61,6 +75,8 @@ class WorkUnit:
             value = getattr(self.config, field.name)
             if isinstance(value, enum.Enum):
                 value = value.value
+            elif dataclasses.is_dataclass(value):
+                value = dataclasses.asdict(value)
             config[field.name] = value
         return {
             "kind": self.kind,

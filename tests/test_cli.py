@@ -50,7 +50,8 @@ class TestCommands:
         assert "goodput" in out
         assert "playback latency" in out
 
-    def test_dataset_exports(self, capsys, tmp_path):
+    def test_dataset_exports(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default result cache lands here
         code = main(
             [
                 "dataset",

@@ -67,6 +67,28 @@ class TestControlSession:
         text = control_with_video.render()
         assert "command" in text and "telemetry" in text and "video" in text
 
+    def test_config_reaches_encoder_and_receiver(self, monkeypatch):
+        import repro.control.session as control_session
+
+        built = {}
+        for name in ("EncoderModel", "VideoReceiver"):
+            real = getattr(control_session, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                built[_name] = _real(*args, **kwargs)
+                return built[_name]
+
+            monkeypatch.setattr(control_session, name, spy)
+        config = ScenarioConfig(
+            cc="gcc", duration=2.0, seed=9,
+            min_bitrate=1e6, max_bitrate=6e6,
+            jitter_buffer_drop_on_latency=True,
+        )
+        run_control_session(config)
+        encoder = built["EncoderModel"]
+        assert (encoder.min_bitrate, encoder.max_bitrate) == (1e6, 6e6)
+        assert built["VideoReceiver"].jitter_buffer.drop_on_latency is True
+
 
 class TestControlResultEdgeCases:
     def test_empty_result_latencies_nan(self):

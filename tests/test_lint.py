@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import ALL_RULES, Finding, PragmaIndex, lint_file, lint_paths, lint_source
+from repro.lint import ALL_RULES, Finding, PragmaIndex, lint_project, lint_source
 from repro.lint.runner import iter_python_files, run_cli
 
 
@@ -17,8 +17,8 @@ def ids_of(findings):
     return [f.rule_id for f in findings]
 
 
-def lint(snippet, path="sim/module.py", rules=None):
-    return lint_source(textwrap.dedent(snippet), path, rules)
+def lint(snippet, path="sim/module.py"):
+    return lint_source(textwrap.dedent(snippet), path)
 
 
 # ----------------------------------------------------------------------
@@ -227,66 +227,6 @@ class TestEventHandle:
 
                 def kick(self):
                     self._loop.call_later(0.002, self.kick)
-            """
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# RPL004 — picklability
-# ----------------------------------------------------------------------
-
-
-class TestPicklability:
-    def test_lambda_to_pool_fires(self):
-        findings = lint(
-            """
-            def fan_out(pool, items):
-                return pool.imap_unordered(lambda x: x * 2, items)
-            """
-        )
-        assert ids_of(findings) == ["RPL004"]
-
-    def test_nested_function_to_pool_fires(self):
-        findings = lint(
-            """
-            def fan_out(pool, items):
-                def work(x):
-                    return x * 2
-
-                return list(pool.map(work, items))
-            """
-        )
-        assert ids_of(findings) == ["RPL004"]
-
-    def test_lambda_process_target_fires(self):
-        findings = lint(
-            """
-            from multiprocessing import Process
-
-            def spawn():
-                return Process(target=lambda: None)
-            """
-        )
-        assert ids_of(findings) == ["RPL004"]
-
-    def test_module_level_function_is_silent(self):
-        findings = lint(
-            """
-            def work(x):
-                return x * 2
-
-            def fan_out(pool, items):
-                return pool.imap_unordered(work, items)
-            """
-        )
-        assert findings == []
-
-    def test_builtin_map_is_silent(self):
-        findings = lint(
-            """
-            def squares(items):
-                return list(map(lambda x: x * x, items))
             """
         )
         assert findings == []
@@ -511,14 +451,16 @@ class TestRunner:
         files = list(iter_python_files([tmp_path]))
         assert [f.name for f in files] == ["good.py"]
 
-    def test_lint_paths_aggregates(self, tmp_path):
+    def test_lint_project_walks_paths(self, tmp_path):
         (tmp_path / "one.py").write_text("import random\nrandom.random()\n")
         (tmp_path / "two.py").write_text("x = 1\n")
-        findings = lint_paths([tmp_path])
-        assert ids_of(findings) == ["RPL001"]
-        assert lint_file(tmp_path / "two.py") == []
+        findings = lint_project([tmp_path])
+        assert [(f.path, f.rule_id) for f in findings] == [
+            (str(tmp_path / "one.py"), "RPL001")
+        ]
 
-    def test_cli_exit_codes(self, tmp_path, capsys):
+    def test_cli_exit_codes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nrandom.random()\n")
         assert run_cli([str(bad)]) == 1
@@ -528,7 +470,15 @@ class TestRunner:
         assert run_cli([str(good)]) == 0
         assert "no findings" in capsys.readouterr().out
 
-    def test_cli_select_filters_rules(self, tmp_path, capsys):
+    def test_cli_leaves_no_cache(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mod.py").write_text("import random\nrandom.random()\n")
+        assert run_cli(["mod.py"]) == 1
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mod.py"]
+
+    def test_cli_select_filters_rules(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nrandom.random()\n")
         assert run_cli([str(bad), "--select", "RPL002"]) == 0
@@ -546,10 +496,10 @@ class TestRunner:
             assert rule_cls.rule_id in out
 
     def test_repo_is_clean(self):
-        """The shipped tree satisfies its own invariants."""
+        """The shipped tree, walked from disk, satisfies its own invariants."""
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent
         targets = [root / name for name in ("src", "tools", "examples")]
-        findings = lint_paths([t for t in targets if t.exists()])
+        findings = lint_project([t for t in targets if t.exists()], root=root)
         assert findings == [], "\n".join(f.render() for f in findings)

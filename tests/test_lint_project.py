@@ -1,29 +1,21 @@
 """Tests for the whole-program lint engine and rules RPL007/009/010.
 
 Fixture projects are plain ``{path: source}`` dicts fed straight to
-:func:`build_project` / :func:`lint_project` — no disk needed — with
-paths under ``src/repro/`` so callee keys resolve like real project
-modules.
+:func:`lint_project`, or folded into a :class:`ProjectIndex` from
+:func:`extract_facts` — no disk needed — with paths under
+``src/repro/`` so callee keys resolve like real project modules.
 """
 
 from __future__ import annotations
 
-import json
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    FactsCache,
-    Finding,
-    build_project,
-    lint_project,
-    render_json,
-    render_sarif,
-)
+from repro.lint import Finding, ProjectIndex, extract_facts, lint_project
 from repro.lint.crossrules import run_cross_rules
-from repro.lint.project import content_hash, module_name_for
+from repro.lint.project import module_name_for
 from repro.lint.runner import run_cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,9 +24,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_TARGETS = ["src", "tools", "examples", "benchmarks"]
 
 
+def build_index(sources: dict[str, str]) -> ProjectIndex:
+    return ProjectIndex({
+        path: extract_facts(ast.parse(source), module_name_for(path))
+        for path, source in sources.items()
+    })
+
+
 def cross_ids(sources: dict[str, str]) -> list[str]:
-    index, errors = build_project(sources)
-    assert errors == []
+    index = build_index(sources)
     return sorted(f.rule_id for f in run_cross_rules(index))
 
 
@@ -81,8 +79,7 @@ class TestEngine:
                 "    helper(wait_s)\n"
             ),
         }
-        index, errors = build_project(sources)
-        assert errors == []
+        index = build_index(sources)
         # Methods keyed module.Class.method; constructor aliased to the
         # bare class key so Channel(...) call sites resolve.
         assert "repro.fake_api.Channel.send" in index.symbols
@@ -111,7 +108,7 @@ class TestEngine:
                 "    return helper\n"
             ),
         }
-        index, _ = build_project(sources)
+        index = build_index(sources)
         assert "repro.fake_nest.outer" in index.symbols
         assert "repro.fake_nest.helper" not in index.symbols
 
@@ -125,7 +122,7 @@ class TestEngine:
                 "    return window_s()\n"
             ),
         }
-        index, _ = build_project(sources)
+        index = build_index(sources)
         # Name suffix wins for window_s; forwarded() follows the chain.
         assert index.return_unit("repro.fake_ret.window_s") == "time:s"
         assert index.return_unit("repro.fake_ret.forwarded") == "time:s"
@@ -135,61 +132,14 @@ class TestEngine:
             "src/repro/fake_bad.py": "def broken(:\n",
             "src/repro/fake_ok.py": "x = 1\n",
         }
-        index, errors = build_project(sources)
-        assert [path for path, _exc in errors] == ["src/repro/fake_bad.py"]
-        assert "src/repro/fake_ok.py" in index.files
-
-
-# ----------------------------------------------------------------------
-# engine: content-hash cache
-# ----------------------------------------------------------------------
-class TestFactsCache:
-    def test_hit_and_invalidation_on_content_change(self, tmp_path):
-        sources = {"src/repro/fake_c.py": "def f(delay_ms):\n    return 1\n"}
-        cache = FactsCache(tmp_path)
-        build_project(sources, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.save(sources)
-
-        warm = FactsCache(tmp_path)
-        build_project(sources, cache=warm)
-        assert (warm.hits, warm.misses) == (1, 0)
-
-        edited = {"src/repro/fake_c.py": "def f(delay_ms):\n    return 2\n"}
-        cold = FactsCache(tmp_path)
-        build_project(edited, cache=cold)
-        assert (cold.hits, cold.misses) == (0, 1)
-
-    def test_save_prunes_to_linted_set(self, tmp_path):
-        cache = FactsCache(tmp_path)
-        cache.put("a.py", content_hash("x = 1\n"), {"facts": None})
-        cache.put("b.py", content_hash("y = 2\n"), {"facts": None})
-        cache.save(["a.py"])
-        reloaded = FactsCache(tmp_path)
-        assert reloaded.get("a.py", content_hash("x = 1\n")) is not None
-        assert reloaded.get("b.py", content_hash("y = 2\n")) is None
-
-    def test_corrupt_cache_degrades_to_empty(self, tmp_path):
-        target = tmp_path / "lint" / "facts.json"
-        target.parent.mkdir(parents=True)
-        target.write_text("{not json", encoding="utf-8")
-        cache = FactsCache(tmp_path)
-        assert cache.get("a.py", "sha") is None
-
-    def test_lint_project_warm_run_skips_analysis(self, tmp_path):
-        sources = {
-            "src/repro/fake_w.py": "import random\nrandom.random()\n",
-        }
-        cold = FactsCache(tmp_path)
-        findings, summary = lint_project(sources=sources, cache=cold)
-        cold.save(sources)
-        assert [f.rule_id for f in findings] == ["RPL001"]
-        assert summary["cache_misses"] == 1
-
-        warm = FactsCache(tmp_path)
-        findings2, summary2 = lint_project(sources=sources, cache=warm)
-        assert summary2 == {"files": 1, "cache_hits": 1, "cache_misses": 0}
-        assert findings2 == findings  # cached findings round-trip intact
+        findings = lint_project(sources=sources)
+        assert [(f.path, f.rule_id) for f in findings] == [
+            ("src/repro/fake_bad.py", "RPL000")
+        ]
+        # The unparseable file drops out; the rest is still analyzed.
+        sources.update(TestUnitDimensions.MISMATCH)
+        findings = lint_project(sources=sources)
+        assert [f.rule_id for f in findings] == ["RPL000", "RPL007"]
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +147,18 @@ class TestFactsCache:
 # ----------------------------------------------------------------------
 class TestUnitDimensions:
     API = "def send(timeout_s):\n    return timeout_s\n"
+    MISMATCH = {
+        "src/repro/fake_api.py": API,
+        "src/repro/fake_use.py": (
+            "from repro.fake_api import send\n"
+            "\n"
+            "def go(delay_ms):\n"
+            "    send(delay_ms)\n"
+        ),
+    }
 
     def test_cross_file_ms_into_s_parameter_fires(self):
-        sources = {
-            "src/repro/fake_api.py": self.API,
-            "src/repro/fake_use.py": (
-                "from repro.fake_api import send\n"
-                "\n"
-                "def go(delay_ms):\n"
-                "    send(delay_ms)\n"
-            ),
-        }
-        assert cross_ids(sources) == ["RPL007"]
+        assert cross_ids(self.MISMATCH) == ["RPL007"]
 
     def test_matching_unit_is_silent(self):
         sources = {
@@ -251,7 +201,7 @@ class TestUnitDimensions:
             ),
         }
         assert cross_ids(sources) == []
-        findings, _ = lint_project(sources=sources)
+        findings = lint_project(sources=sources)
         assert [f.rule_id for f in findings] == ["RPL002"]
 
     def test_dimensionless_return_into_suffixed_slot_fires(self):
@@ -436,7 +386,7 @@ class TestWallTaint:
                 "        self.loop.call_at(t, self.go)\n"
             ),
         }
-        index, _ = build_project(sources)
+        index = build_index(sources)
         ids = [f.rule_id for f in run_cross_rules(index)]
         assert ids == ["RPL010"]
 
@@ -467,7 +417,7 @@ class TestWallTaint:
                 "    obs.event(\"x.y\", t=stamp())\n"
             ),
         }
-        index, _ = build_project(sources)
+        index = build_index(sources)
         findings = [
             f for f in run_cross_rules(index) if f.rule_id == "RPL010"
         ]
@@ -484,7 +434,7 @@ class TestWallTaint:
                 "    obs.gauge(\"x/elapsed\", elapsed * 1000)\n"
             ),
         }
-        index, _ = build_project(sources)
+        index = build_index(sources)
         ids = [f.rule_id for f in run_cross_rules(index)]
         assert ids == ["RPL010"]
 
@@ -507,7 +457,7 @@ class TestCrossPragmas:
             "            self.go,\n"
             "        )\n"
         )
-        findings, _ = lint_project(
+        findings = lint_project(
             sources={"src/repro/fake_p.py": source}
         )
         assert findings == []
@@ -526,7 +476,7 @@ class TestCrossPragmas:
             "            self.go,\n"
             "        )\n"
         )
-        findings, _ = lint_project(
+        findings = lint_project(
             sources={"src/repro/fake_p.py": source}
         )
         assert [f.rule_id for f in findings] == ["RPL010"]
@@ -547,67 +497,16 @@ class TestCrossPragmas:
                 "    send(delay_ms)\n"
             ),
         }
-        findings, _ = lint_project(sources=sources)
+        findings = lint_project(sources=sources)
         assert [(f.path, f.rule_id) for f in findings] == [
             ("src/repro/fake_use.py", "RPL007")
         ]
 
 
 # ----------------------------------------------------------------------
-# output formats + baseline
+# findings
 # ----------------------------------------------------------------------
 class TestOutput:
-    FINDING = Finding(
-        path="src/x.py", line=3, col=1, rule_id="RPL007",
-        message="mixed units", end_line=5,
-    )
-
-    def test_render_json_schema(self):
-        payload = json.loads(render_json([self.FINDING], {"files": 1}))
-        assert payload["version"] == 1
-        assert payload["findings"] == [
-            {
-                "path": "src/x.py", "line": 3, "col": 1, "end_line": 5,
-                "rule": "RPL007", "message": "mixed units",
-            }
-        ]
-
-    def test_render_sarif_schema(self):
-        log = json.loads(
-            render_sarif([self.FINDING], [("RPL007", "units", "desc")])
-        )
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["rules"][0]["id"] == "RPL007"
-        result = run["results"][0]
-        assert result["ruleId"] == "RPL007"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert (region["startLine"], region["endLine"]) == (3, 5)
-
-    def test_baseline_round_trip_and_new_findings(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.from_findings([self.FINDING]).save(baseline_file)
-        loaded = Baseline.load(baseline_file)
-        assert loaded.new_findings([self.FINDING]) == []
-        other = Finding(
-            path="src/y.py", line=1, col=1, rule_id="RPL009",
-            message="shared stream",
-        )
-        assert loaded.new_findings([self.FINDING, other]) == [other]
-
-    def test_baseline_multiplicity(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.from_findings([self.FINDING]).save(baseline_file)
-        # Two identical findings, one baselined: one is new.
-        doubled = [self.FINDING, self.FINDING]
-        assert Baseline.load(baseline_file).new_findings(doubled) == [
-            self.FINDING
-        ]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        loaded = Baseline.load(tmp_path / "absent.json")
-        assert loaded.new_findings([self.FINDING]) == [self.FINDING]
-
     def test_end_line_never_precedes_line(self):
         finding = Finding(
             path="a.py", line=9, col=1, rule_id="RPL007", message="m"
@@ -643,49 +542,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "RPL007" in out and "finding(s)" in out
 
-    def test_json_format(self, fixture_tree, capsys):
-        assert run_cli(["src", "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert [f["rule"] for f in payload["findings"]] == ["RPL007"]
-
-    def test_sarif_format(self, fixture_tree, capsys):
-        assert run_cli(["src", "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert [r["ruleId"] for r in log["runs"][0]["results"]] == [
-            "RPL007"
-        ]
-
     def test_select_filters_cross_rules(self, fixture_tree, capsys):
         assert run_cli(["src", "--select", "RPL010"]) == 0
-        capsys.readouterr()
-
-    def test_baseline_write_then_check(self, fixture_tree, capsys):
-        assert run_cli(["src", "--baseline", "write"]) == 0
-        assert run_cli(["src", "--baseline", "check"]) == 0
-        capsys.readouterr()
-
-    def test_baseline_check_fails_on_new_finding(self, fixture_tree, capsys):
-        assert run_cli(["src", "--baseline", "write"]) == 0
-        extra = fixture_tree / "src" / "repro" / "extra.py"
-        extra.write_text(
-            "import random\nrandom.random()\n", encoding="utf-8"
-        )
-        assert run_cli(["src", "--baseline", "check"]) == 1
-        out = capsys.readouterr().out
-        assert "RPL001" in out and "RPL007" not in out
-
-    def test_changed_filters_reported_files(
-        self, fixture_tree, capsys, monkeypatch
-    ):
-        import repro.lint.runner as runner_module
-
-        monkeypatch.setattr(
-            runner_module,
-            "changed_files",
-            lambda base="HEAD": {"src/repro/api.py"},
-        )
-        # The finding is in use.py, which did not change.
-        assert run_cli(["src", "--changed"]) == 0
         capsys.readouterr()
 
     def test_max_seconds_budget_exceeded(self, fixture_tree, capsys):
@@ -695,27 +553,19 @@ class TestCli:
     def test_internal_error_exits_3(self, fixture_tree, capsys, monkeypatch):
         import repro.lint.runner as runner_module
 
-        def boom(**kwargs):
+        def boom(*args, **kwargs):
             raise RuntimeError("engine exploded")
 
         monkeypatch.setattr(runner_module, "lint_project", boom)
         assert run_cli(["src"]) == 3
         assert "internal error" in capsys.readouterr().out
 
-    def test_cache_reused_across_invocations(self, fixture_tree, capsys):
-        run_cli(["src", "--select", "RPL010"])
-        capsys.readouterr()
-        assert run_cli(["src", "--select", "RPL010", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["cache_misses"] == 0
-        assert payload["summary"]["cache_hits"] == 2
-
     def test_repro_cli_lint_subcommand(self, fixture_tree, capsys):
         from repro.cli import main
 
-        assert main(["lint", "src", "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert [f["rule"] for f in payload["findings"]] == ["RPL007"]
+        assert main(["lint", "src"]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/use.py:4:1: RPL007" in out
 
 
 # ----------------------------------------------------------------------
@@ -723,17 +573,11 @@ class TestCli:
 # ----------------------------------------------------------------------
 class TestRepoGates:
     def test_repo_is_clean_whole_program(self):
-        """The shipped tree passes every rule with an empty baseline."""
-        findings, _ = lint_project(
+        """The shipped tree passes every rule."""
+        findings = lint_project(
             sources=repo_sources(), root=REPO_ROOT
         )
         assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_checked_in_baseline_is_empty(self):
-        payload = json.loads(
-            (REPO_ROOT / "lint-baseline.json").read_text(encoding="utf-8")
-        )
-        assert payload["findings"] == []
 
     def test_cc_bench_import_is_side_effect_free(self):
         """Regression (RPL009): importing tools/cc_bench.py must not

@@ -1,7 +1,11 @@
 """Tests for the campaign runner: pool fan-out, cache, telemetry."""
 
+import dataclasses
+
 import pytest
 
+from repro.cellular.cell import CellCapacityConfig
+from repro.cellular.handover import A3Config
 from repro.core.config import ScenarioConfig
 from repro.experiments import (
     ExperimentSettings,
@@ -19,7 +23,7 @@ from repro.runner import (
     execute_unit,
 )
 from repro.runner.cache import MISS
-from repro.runner.work import make_unit
+from repro.runner.work import WORK_FLEET, make_unit
 
 QUICK = ExperimentSettings(duration=12.0, seeds=(1, 2), warmup=2.0)
 CONFIGS = [
@@ -57,6 +61,38 @@ class TestWorkUnit:
         b = make_unit(WORK_PING_PROBE, ScenarioConfig(), ping_bytes=92, rate_hz=5.0)
         assert a == b
 
+    def test_fingerprint_covers_override_fields(self):
+        a3 = A3Config(hysteresis_db=2.0, time_to_trigger=0.1)
+        unit = make_unit(WORK_SESSION, ScenarioConfig(a3=a3, ramp_up_speed=1e6))
+        config = unit.fingerprint()["config"]
+        assert "extra" not in config
+        assert config["a3"] == dataclasses.asdict(a3)
+        assert (config["het"], config["make_before_break"]) == (None, False)
+        assert config["ramp_up_speed"] == 1e6
+
+    def test_lambda_param_rejected(self):
+        with pytest.raises(TypeError, match="plain data"):
+            make_unit(WORK_SESSION, ScenarioConfig(), fn=lambda: 0)
+
+    def test_closure_param_rejected(self):
+        def work():
+            return 0
+
+        with pytest.raises(TypeError, match="plain data"):
+            make_unit(WORK_PING_PROBE, ScenarioConfig(), rate_hz=(5.0, work))
+
+    def test_object_param_rejected(self):
+        with pytest.raises(TypeError, match="plain data"):
+            make_unit(WORK_FLEET, ScenarioConfig(), cell_capacity=CellCapacityConfig())
+
+    def test_plain_params_accepted(self):
+        unit = make_unit(
+            WORK_FLEET, ScenarioConfig(),
+            num_sessions=2, spread_radius=50.0, obs="metrics",
+            cell_capacity=None, trace_members=(0, 1),
+        )
+        assert dict(unit.params)["trace_members"] == (0, 1)
+
     def test_execute_dispatches_probe_kinds(self):
         config = ScenarioConfig(cc="static", duration=5.0, seed=1)
         probe = execute_unit(make_unit(WORK_CHANNEL_PROBE, config))
@@ -87,7 +123,10 @@ class TestCacheKeys:
             cache.key(
                 make_unit(
                     WORK_SESSION,
-                    ScenarioConfig(seed=3, duration=20.0, extra={"a3": (2.0, 0.1)}),
+                    ScenarioConfig(
+                        seed=3, duration=20.0,
+                        a3=A3Config(hysteresis_db=2.0, time_to_trigger=0.1),
+                    ),
                 )
             ),
         }

@@ -5,7 +5,9 @@ import pytest
 
 from repro import CcAlgorithm, Environment, Platform, ScenarioConfig, run_session
 from repro.core.config import STATIC_BITRATE
-from repro.core.session import build_controller
+from repro.cellular.handover import A3Config, HetSampler
+from repro.core.session import build_channel_config, build_controller, build_session
+from repro.net.simulator import EventLoop
 from repro.cc import GccController, ScreamController, StaticBitrateController
 from repro.metrics import VideoSummary, network_summary
 
@@ -46,29 +48,49 @@ class TestScenarioConfig:
         [
             "fps", "static_bitrate", "min_bitrate", "max_bitrate",
             "jitter_buffer_latency", "base_owd", "owd_jitter_std",
-            "loss_rate", "loss_mean_burst",
+            "loss_rate", "loss_mean_burst", "ramp_up_speed",
         ],
     )
     def test_non_finite_float_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioConfig(**{field: value})
 
+    def test_misspelt_override_field_rejected(self):
+        with pytest.raises(TypeError, match="make_before_brake"):
+            ScenarioConfig(make_before_brake=True)
+
     def test_unknown_extra_key_rejected(self):
-        with pytest.raises(ValueError, match="make_before_brake"):
+        with pytest.raises(TypeError, match="make_before_brake"):
             ScenarioConfig(extra={"make_before_brake": True})
 
     def test_known_extra_keys_accepted(self):
+        a3 = A3Config(hysteresis_db=2.0, time_to_trigger=0.1)
+        het = HetSampler(outlier_prob_air=0.01)
         config = ScenarioConfig(
             extra={
-                "a3": (2.0, 0.1),
-                "het": 0.05,
+                "a3": a3,
+                "het": het,
                 "make_before_break": True,
                 "ramp_up_speed": 1e6,
             }
         )
-        assert set(config.extra) == {
-            "a3", "het", "make_before_break", "ramp_up_speed"
-        }
+        assert config == ScenarioConfig(
+            a3=a3, het=het, make_before_break=True, ramp_up_speed=1e6
+        )
+        assert "extra" not in vars(config)
+
+    def test_overrides_reach_the_session(self):
+        a3 = A3Config(hysteresis_db=2.0, time_to_trigger=0.1)
+        het = HetSampler(outlier_prob_air=0.01)
+        channel = build_channel_config(
+            ScenarioConfig(a3=a3, het=het, make_before_break=True)
+        )
+        assert (channel.a3, channel.het) == (a3, het)
+        assert channel.make_before_break is True
+        handles = build_session(
+            EventLoop(), ScenarioConfig(cc="scream", ramp_up_speed=1e6)
+        )
+        assert handles.controller.rate.ramp_up_speed == 1e6
 
     def test_with_overrides(self):
         config = ScenarioConfig(seed=1)

@@ -36,8 +36,9 @@ invariants, which CI enforces with the `repro.lint` static pass
 (`python -m repro.lint src tools examples`): no entropy or wall-clock
 reads outside the seeded `RngStreams` path (RPL001), unit conversions
 through `repro.util.units` only (RPL002), no leaked event-loop handles
-(RPL003), only picklable callables across the campaign process
-boundary (RPL004), and no hard-coded seed fallbacks (RPL005).
+(RPL003) and no hard-coded seed fallbacks (RPL005); work crossing
+the campaign process boundary is plain data, which `WorkUnit`
+enforces at construction.
 Deliberate exceptions — e.g. wall-clock campaign telemetry — carry an
 inline `# repro-lint: ignore[RPL001]` pragma. See README "Static
 analysis" for the rule catalogue.
